@@ -1,10 +1,19 @@
 """Command line pipeline: simulate, fit, calibrate, evaluate, compare, sweep-m.
 
-Every command reads its options from flags, falling back to an optional
-``key=value`` config file, then to defaults. Artifacts are deterministic
-given identical inputs and seeds; ``manifest.json`` additionally records
-wall-clock timings and is therefore the one file excluded from
-bit-identical reruns.
+The CLI is two tables. ``OPTIONS`` declares every option once: its cast
+from text, its default and its help. ``COMMANDS`` maps each subcommand
+to its handler, help, options and required options. ``build_parser``
+generates the subparsers from them, and ``main`` does the shared work
+of every command in one path: it resolves each declared option (flag,
+else ``key=value`` config file, else default), creates the out-dir,
+times the handler, and writes ``manifest.json`` from the resolved
+options plus the inputs and outputs the handler returns. Each ``cmd_*``
+handler does only its own work.
+
+Artifacts are deterministic given identical inputs and seeds;
+``manifest.json`` additionally records wall-clock timings and is
+therefore the one file excluded from bit-identical reruns. Each command
+overwrites it.
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure
 (argument-syntax errors exit 2 via argparse). With ``--json-errors`` the
@@ -21,13 +30,13 @@ import os
 import platform
 import sys
 import time
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .conformal import GlobalThreshold, cqr_calibrate, split_cp_calibrate
 from .core import (
-    Dataset,
     SplitSpec,
     ValidationError,
     load_dataset,
@@ -95,8 +104,43 @@ def _ints(text: str) -> tuple[int, ...]:
 def _domain(text: str) -> tuple[float, float]:
     parts = _floats(text)
     if len(parts) != 2:
-        raise ValidationError(f"label domain must be two comma-separated numbers, got {text!r}")
+        raise ValueError("label domain must be two comma-separated numbers")
     return parts[0], parts[1]
+
+
+def _method(name: str) -> str:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; choose one of {', '.join(METHODS)}")
+    return name
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    return tuple(_method(name) for name in text.split(","))
+
+
+class Option(NamedTuple):
+    cast: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    options: tuple[str, ...]
+    required: tuple[str, ...] = ()
+
+
+class Step(NamedTuple):
+    """What a handler hands back for the manifest."""
+
+    inputs: list[str]
+    outputs: list[str]
+    timings: dict = {}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _resolve(args, config: dict, key: str, cast, default=None, required: bool = False):
@@ -106,217 +150,105 @@ def _resolve(args, config: dict, key: str, cast, default=None, required: bool = 
         value = config.get(key)
     if value is None:
         if required:
-            raise ValidationError(f"missing required option --{key.replace('_', '-')}")
+            raise ValidationError(f"missing required option {_flag(key)}")
         return default
     if isinstance(value, str) and cast is not str:
         try:
             value = cast(value)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"invalid value {value!r} for --{key.replace('_', '-')}"
-            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"invalid value {value!r} for {_flag(key)}: {exc}") from None
     return value
 
 
-def _schema(attribute_col: str | None) -> dict[str, str] | None:
-    return {"group": attribute_col} if attribute_col else None
-
-
-def _load_model(path: str) -> QuantileModel:
-    try:
-        with open(path) as fh:
-            return QuantileModel.from_json(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"cannot open model file {path!r}: {exc}") from None
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed model file {path!r}: {exc}") from None
-
-
-def _load_calibrator(path: str):
+def _load_artifact(path: str, kind: str, parse):
+    """Read a JSON artifact; any shape ``parse`` cannot use is a ValidationError."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ValidationError(f"cannot open calibrator file {path!r}: {exc}") from None
+        raise ValidationError(f"cannot open {kind} file {path!r}: {exc}") from None
     try:
-        payload = json.loads(text)
-        if isinstance(payload.get("r_hat"), list):
-            return ThresholdTable.from_payload(payload)
-        return GlobalThreshold.from_json(text)
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed calibrator file {path!r}: {exc}") from None
+        return parse(text)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} file {path!r}: {exc}") from None
 
 
-def _emit_manifest(out_dir, command, config, inputs, outputs, timings) -> None:
-    manifest = {
-        "command": command,
-        "config": {k: config[k] for k in sorted(config)},
-        "inputs": {path: _sha256(path) for path in sorted(inputs)},
-        "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in sorted(outputs)},
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "package": __version__,
-        },
-        "timings": timings,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _parse_calibrator(text: str):
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    if isinstance(payload.get("r_hat"), list):
+        return ThresholdTable.from_payload(payload)
+    return GlobalThreshold.from_json(text)
+
+
+def _load_model(path: str | None) -> QuantileModel | None:
+    return _load_artifact(path, "model", QuantileModel.from_json) if path else None
+
+
+def _load_data(o, path: str):
+    schema = {"group": o.attribute_col} if o.attribute_col else None
+    return load_dataset(path, o.label_domain, schema=schema)
+
+
+def _write_text(o, name: str, text: str) -> None:
+    with open(os.path.join(o.out_dir, name), "w") as fh:
+        fh.write(text)
         fh.write("\n")
 
 
-def _prepare_out_dir(args, config) -> str:
-    out_dir = _resolve(args, config, "out_dir", str, default=".")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
-def cmd_simulate(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    n = _resolve(args, config, "n", int, default=8000)
-    seed = _resolve(args, config, "seed", int, default=0)
-    group_probs = _resolve(args, config, "group_probs", _floats, default=(0.5, 0.5))
-    noise_scales = _resolve(args, config, "noise_scales", _floats, default=(1.0, 2.0))
-    feature_dim = _resolve(args, config, "feature_dim", int, default=3)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    fractions = _resolve(args, config, "fractions", _floats, default=(0.5, 0.25, 0.25))
-    if len(fractions) != 3:
-        raise ValidationError(f"exactly three split fractions are required, got {fractions}")
+def cmd_simulate(o) -> Step:
+    split = SplitSpec(fractions=o.fractions, seed=o.seed)
     spec = SyntheticSpec(
-        n=n,
-        group_probs=group_probs,
-        feature_dim=feature_dim,
-        noise_scale_per_group=noise_scales,
-        label_domain=label_domain,
-        seed=seed,
+        n=o.n,
+        group_probs=o.group_probs,
+        feature_dim=o.feature_dim,
+        noise_scale_per_group=o.noise_scales,
+        label_domain=o.label_domain,
+        seed=o.seed,
     )
-    data = generate_synthetic(spec)
-    train, cal, test = split_dataset(data, SplitSpec(fractions=fractions, seed=seed))
-    outputs = {"train.csv": train, "cal.csv": cal, "test.csv": test}
-    for name, part in outputs.items():
-        write_dataset(part, os.path.join(out_dir, name))
-    resolved = {
-        "n": n,
-        "seed": seed,
-        "group_probs": list(group_probs),
-        "noise_scales": list(noise_scales),
-        "feature_dim": feature_dim,
-        "label_domain": list(label_domain),
-        "fractions": list(fractions),
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "simulate",
-        resolved,
-        inputs=[],
-        outputs=list(outputs),
-        timings={"total_seconds": time.perf_counter() - started},
+    parts = split_dataset(generate_synthetic(spec), split)
+    outputs = ["train.csv", "cal.csv", "test.csv"]
+    for name, part in zip(outputs, parts):
+        write_dataset(part, os.path.join(o.out_dir, name))
+    return Step([], outputs)
+
+
+def cmd_fit(o) -> Step:
+    train = _load_data(o, o.data)
+    model = fit_model(
+        train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
     )
-    return 0
+    _write_text(o, "model.json", model.to_json())
+    return Step([o.data], ["model.json"])
 
 
-def cmd_fit(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    data_path = _resolve(args, config, "data", str, required=True)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    alpha = _resolve(args, config, "alpha", float, default=0.1)
-    lr = _resolve(args, config, "lr", float, default=0.1)
-    epochs = _resolve(args, config, "epochs", int, default=400)
-    seed = _resolve(args, config, "seed", int, default=0)
-    attribute_col = _resolve(args, config, "attribute_col", str)
-    train = load_dataset(data_path, label_domain, schema=_schema(attribute_col))
-    model = fit_model(train, QuantileLevels.for_alpha(alpha), lr=lr, epochs=epochs, seed=seed)
-    with open(os.path.join(out_dir, "model.json"), "w") as fh:
-        fh.write(model.to_json())
-        fh.write("\n")
-    resolved = {
-        "data": data_path,
-        "label_domain": list(label_domain),
-        "alpha": alpha,
-        "lr": lr,
-        "epochs": epochs,
-        "seed": seed,
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "fit",
-        resolved,
-        inputs=[data_path],
-        outputs=["model.json"],
-        timings={"total_seconds": time.perf_counter() - started},
-    )
-    return 0
-
-
-def _run_calibration(method, cal, model, alpha, bins, max_iters, seed, input_hashes):
-    """Dispatch one calibration method to its artifact payload."""
+def _run_calibration(method, cal, model, alpha, bins, max_iters=None):
+    """Run one calibration method; returns the calibrator and the fuq trace (else None)."""
     if method == "cp":
         return split_cp_calibrate(cal, model, alpha), None
     if method == "cqr":
         return cqr_calibrate(cal, model, alpha), None
     if method == "cqr_groupwise":
         return cqr_calibrate_groupwise(cal, model, alpha), None
-    if method == "fuq":
-        table, trace = fair_calibrate(cal, model, bins, alpha, max_iters=max_iters)
-        return table, trace
-    raise ValidationError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
+    return fair_calibrate(cal, model, bins, alpha, max_iters=max_iters)
 
 
-def cmd_calibrate(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    data_path = _resolve(args, config, "data", str, required=True)
-    model_path = _resolve(args, config, "model", str)
-    method = _resolve(args, config, "method", str, default="fuq")
-    alpha = _resolve(args, config, "alpha", float, default=0.1)
-    bins = _resolve(args, config, "bins", int, default=4)
-    max_iters = _resolve(args, config, "max_iters", int)
-    seed = _resolve(args, config, "seed", int, default=0)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    attribute_col = _resolve(args, config, "attribute_col", str)
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
-    cal = load_dataset(data_path, label_domain, schema=_schema(attribute_col))
-    model = _load_model(model_path) if model_path else None
-    inputs = [data_path] + ([model_path] if model_path else [])
-    input_hashes = {path: _sha256(path) for path in inputs}
-    calibrator, trace = _run_calibration(
-        method, cal, model, alpha, bins, max_iters, seed, input_hashes
-    )
+def cmd_calibrate(o) -> Step:
+    cal = _load_data(o, o.data)
+    model = _load_model(o.model)
+    inputs = [path for path in (o.data, o.model) if path]
+    calibrator, trace = _run_calibration(o.method, cal, model, o.alpha, o.bins, o.max_iters)
     if isinstance(calibrator, ThresholdTable):
-        extras = {"method": method, "seed": seed, "input_hashes": input_hashes}
+        input_hashes = {path: _sha256(path) for path in inputs}
+        extras = {"method": o.method, "seed": o.seed, "input_hashes": input_hashes}
         if trace is not None:
             extras["trace_summary"] = trace.summary()
         text = json.dumps(calibrator.to_payload(extras), sort_keys=True, indent=2)
     else:
         text = calibrator.to_json()
-    with open(os.path.join(out_dir, "calibrator.json"), "w") as fh:
-        fh.write(text)
-        fh.write("\n")
-    resolved = {
-        "data": data_path,
-        "model": model_path,
-        "method": method,
-        "alpha": alpha,
-        "bins": bins,
-        "max_iters": max_iters,
-        "seed": seed,
-        "label_domain": list(label_domain),
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "calibrate",
-        resolved,
-        inputs=inputs,
-        outputs=["calibrator.json"],
-        timings={"total_seconds": time.perf_counter() - started},
-    )
-    return 0
+    _write_text(o, "calibrator.json", text)
+    return Step(inputs, ["calibrator.json"])
 
 
 def _write_predictions(path, test, model, calibrator) -> None:
@@ -354,39 +286,14 @@ def _write_predictions(path, test, model, calibrator) -> None:
             )
 
 
-def cmd_evaluate(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    data_path = _resolve(args, config, "data", str, required=True)
-    model_path = _resolve(args, config, "model", str)
-    calibrator_path = _resolve(args, config, "calibrator", str, required=True)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    attribute_col = _resolve(args, config, "attribute_col", str)
-    test = load_dataset(data_path, label_domain, schema=_schema(attribute_col))
-    model = _load_model(model_path) if model_path else None
-    calibrator = _load_calibrator(calibrator_path)
-    report = evaluate(test, model, calibrator)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(report_to_json(report))
-        fh.write("\n")
-    _write_predictions(os.path.join(out_dir, "predictions.csv"), test, model, calibrator)
-    inputs = [data_path, calibrator_path] + ([model_path] if model_path else [])
-    resolved = {
-        "data": data_path,
-        "model": model_path,
-        "calibrator": calibrator_path,
-        "label_domain": list(label_domain),
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "evaluate",
-        resolved,
-        inputs=inputs,
-        outputs=["report.json", "predictions.csv"],
-        timings={"total_seconds": time.perf_counter() - started},
-    )
-    return 0
+def cmd_evaluate(o) -> Step:
+    test = _load_data(o, o.data)
+    model = _load_model(o.model)
+    calibrator = _load_artifact(o.calibrator, "calibrator", _parse_calibrator)
+    _write_text(o, "report.json", report_to_json(evaluate(test, model, calibrator)))
+    _write_predictions(os.path.join(o.out_dir, "predictions.csv"), test, model, calibrator)
+    inputs = [path for path in (o.data, o.calibrator, o.model) if path]
+    return Step(inputs, ["report.json", "predictions.csv"])
 
 
 def _aligned_table(rows: list[list[str]]) -> str:
@@ -398,110 +305,57 @@ def _aligned_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_compare(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    cal_path = _resolve(args, config, "cal", str, required=True)
-    test_path = _resolve(args, config, "test", str, required=True)
-    train_path = _resolve(args, config, "train", str)
-    model_path = _resolve(args, config, "model", str)
-    methods = _resolve(args, config, "methods", lambda t: tuple(t.split(",")), default=METHODS)
-    alpha = _resolve(args, config, "alpha", float, default=0.1)
-    bins = _resolve(args, config, "bins", int, default=4)
-    seed = _resolve(args, config, "seed", int, default=0)
-    lr = _resolve(args, config, "lr", float, default=0.1)
-    epochs = _resolve(args, config, "epochs", int, default=400)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    attribute_col = _resolve(args, config, "attribute_col", str)
-    for method in methods:
-        if method not in METHODS:
-            raise ValidationError(
-                f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-            )
-    schema = _schema(attribute_col)
-    cal = load_dataset(cal_path, label_domain, schema=schema)
-    test = load_dataset(test_path, label_domain, schema=schema)
-    inputs = [cal_path, test_path]
+def cmd_compare(o) -> Step:
+    cal = _load_data(o, o.cal)
+    test = _load_data(o, o.test)
+    inputs = [o.cal, o.test]
     outputs = ["comparison.csv", "comparison.txt"]
-    if model_path:
-        model = _load_model(model_path)
-        inputs.append(model_path)
+    if o.model:
+        model = _load_model(o.model)
+        inputs.append(o.model)
+    elif not o.train:
+        raise ValidationError("compare needs either --model or --train")
     else:
-        if not train_path:
-            raise ValidationError("compare needs either --model or --train")
-        train = load_dataset(train_path, label_domain, schema=schema)
-        inputs.append(train_path)
+        train = _load_data(o, o.train)
+        inputs.append(o.train)
         model = fit_model(
-            train, QuantileLevels.for_alpha(alpha), lr=lr, epochs=epochs, seed=seed
+            train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
         )
-        with open(os.path.join(out_dir, "model.json"), "w") as fh:
-            fh.write(model.to_json())
-            fh.write("\n")
+        _write_text(o, "model.json", model.to_json())
         outputs.append("model.json")
 
     rows = [comparison_header(test.group_count)]
-    for method in methods:
-        calibrator, _ = _run_calibration(method, cal, model, alpha, bins, None, seed, {})
+    for method in o.methods:
+        calibrator, _ = _run_calibration(method, cal, model, o.alpha, o.bins)
         report = evaluate(test, model, calibrator)
         rows.append(comparison_row(method, report))
         report_name = f"report_{method}.json"
-        with open(os.path.join(out_dir, report_name), "w") as fh:
-            fh.write(report_to_json(report))
-            fh.write("\n")
+        _write_text(o, report_name, report_to_json(report))
         outputs.append(report_name)
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
+    with open(os.path.join(o.out_dir, "comparison.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    with open(os.path.join(out_dir, "comparison.txt"), "w") as fh:
+    with open(os.path.join(o.out_dir, "comparison.txt"), "w") as fh:
         fh.write(_aligned_table(rows))
-    resolved = {
-        "cal": cal_path,
-        "test": test_path,
-        "train": train_path,
-        "model": model_path,
-        "methods": list(methods),
-        "alpha": alpha,
-        "bins": bins,
-        "seed": seed,
-        "label_domain": list(label_domain),
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "compare",
-        resolved,
-        inputs=inputs,
-        outputs=outputs,
-        timings={"total_seconds": time.perf_counter() - started},
-    )
-    return 0
+    return Step(inputs, outputs)
 
 
-def cmd_sweep_m(args, config) -> int:
-    started = time.perf_counter()
-    out_dir = _prepare_out_dir(args, config)
-    data_path = _resolve(args, config, "data", str, required=True)
-    model_path = _resolve(args, config, "model", str, required=True)
-    m_values = _resolve(args, config, "m_values", _ints, default=(1, 2, 4, 8))
-    alpha = _resolve(args, config, "alpha", float, default=0.1)
-    seed = _resolve(args, config, "seed", int, default=0)
-    label_domain = _resolve(args, config, "label_domain", _domain, default=(0.0, 63.0))
-    attribute_col = _resolve(args, config, "attribute_col", str)
-    if any(m < 1 for m in m_values):
-        raise ValidationError(f"bin counts must be positive, got {m_values}")
-    cal = load_dataset(data_path, label_domain, schema=_schema(attribute_col))
-    model = _load_model(model_path)
+def cmd_sweep_m(o) -> Step:
+    if any(m < 1 for m in o.m_values):
+        raise ValidationError(f"bin counts must be positive, got {o.m_values}")
+    cal = _load_data(o, o.data)
+    model = _load_model(o.model)
     if cal.n < 2:
         raise ValidationError("sweep needs at least two calibration records to split")
-    perm = np.random.default_rng(seed).permutation(cal.n)
+    perm = np.random.default_rng(o.seed).permutation(cal.n)
     half = cal.n // 2
     fit_part = cal.subset(perm[:half])
     val_part = cal.subset(perm[half:])
 
     rows = [["M", "picp", "mpiw", "picp_gap", "iterations", "termination"]]
     per_m_seconds: dict[str, float] = {}
-    for m in m_values:
+    for m in o.m_values:
         tick = time.perf_counter()
-        table, trace = fair_calibrate(fit_part, model, m, alpha)
+        table, trace = fair_calibrate(fit_part, model, m, o.alpha)
         report = evaluate(val_part, model, table)
         per_m_seconds[str(m)] = time.perf_counter() - tick
         rows.append(
@@ -514,111 +368,102 @@ def cmd_sweep_m(args, config) -> int:
                 trace.termination_reason,
             ]
         )
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+    with open(os.path.join(o.out_dir, "sweep.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    resolved = {
-        "data": data_path,
-        "model": model_path,
-        "m_values": list(m_values),
-        "alpha": alpha,
-        "seed": seed,
-        "label_domain": list(label_domain),
-        "out_dir": out_dir,
-    }
-    _emit_manifest(
-        out_dir,
-        "sweep-m",
-        resolved,
-        inputs=[data_path, model_path],
-        outputs=["sweep.csv"],
-        timings={
-            "total_seconds": time.perf_counter() - started,
-            "per_m_seconds": per_m_seconds,
-        },
-    )
-    return 0
+    return Step([o.data, o.model], ["sweep.csv"], {"per_m_seconds": per_m_seconds})
+
+
+OPTIONS: dict[str, Option] = {
+    "out_dir": Option(str, ".", "artifact directory"),
+    "seed": Option(int, 0, "integer seed"),
+    "n": Option(int, 8000, "total record count"),
+    "group_probs": Option(_floats, (0.5, 0.5), "comma list of group probabilities"),
+    "noise_scales": Option(_floats, (1.0, 2.0), "comma list, one noise scale per group"),
+    "feature_dim": Option(int, 3, "feature count"),
+    "label_domain": Option(_domain, (0.0, 63.0), "closed label range lo,hi"),
+    "fractions": Option(_floats, (0.5, 0.25, 0.25), "train,cal,test fractions"),
+    "data": Option(str, None, "input CSV"),
+    "train": Option(str, None, "training CSV (fits a model unless --model is given)"),
+    "cal": Option(str, None, "calibration CSV"),
+    "test": Option(str, None, "test CSV"),
+    "model": Option(str, None, "model JSON from fit"),
+    "calibrator": Option(str, None, "calibrator JSON from calibrate"),
+    "method": Option(_method, "fuq", " | ".join(METHODS)),
+    "methods": Option(_methods, METHODS, "comma list of methods"),
+    "alpha": Option(float, 0.1, "miscoverage level"),
+    "bins": Option(int, 4, "label bin count for fuq"),
+    "max_iters": Option(int, None, "optimizer iteration cap"),
+    "lr": Option(float, 0.1, "fit step size"),
+    "epochs": Option(int, 400, "fit epoch count"),
+    "attribute_col": Option(str, None, "group column name"),
+    "m_values": Option(_ints, (1, 2, 4, 8), "comma list of bin counts"),
+}
+
+# Every command also takes these, besides --config and --json-errors.
+COMMON = ("out_dir", "seed")
+
+COMMANDS: dict[str, Command] = {
+    "simulate": Command(
+        cmd_simulate,
+        "draw a synthetic dataset and split it",
+        ("n", "group_probs", "noise_scales", "feature_dim", "label_domain", "fractions"),
+    ),
+    "fit": Command(
+        cmd_fit,
+        "fit the quantile model",
+        ("data", "alpha", "lr", "epochs", "label_domain", "attribute_col"),
+        required=("data",),
+    ),
+    "calibrate": Command(
+        cmd_calibrate,
+        "calibrate intervals on held-out data",
+        ("data", "model", "method", "alpha", "bins", "max_iters", "label_domain", "attribute_col"),
+        required=("data",),
+    ),
+    "evaluate": Command(
+        cmd_evaluate,
+        "score a calibrator on test data",
+        ("data", "model", "calibrator", "label_domain", "attribute_col"),
+        required=("data", "calibrator"),
+    ),
+    "compare": Command(
+        cmd_compare,
+        "run all methods and tabulate",
+        ("train", "cal", "test", "model", "methods", "alpha", "bins", "lr", "epochs",
+         "label_domain", "attribute_col"),
+        required=("cal", "test"),
+    ),
+    "sweep-m": Command(
+        cmd_sweep_m,
+        "vary the bin count on a split of the calibration data",
+        ("data", "model", "m_values", "alpha", "label_domain", "attribute_col"),
+        required=("data", "model"),
+    ),
+}
+
+
+def _show(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_show(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", dest="out_dir", help="artifact directory (default .)")
-    common.add_argument("--config", help="key=value config file; flags take precedence")
-    common.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit errors as JSON on stderr",
-    )
-    common.add_argument("--seed", help="integer seed (default 0)")
-
     parser = argparse.ArgumentParser(
         prog="faircov",
         description="Group-fair conformal calibration of quantile regression bands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common], help="draw a synthetic dataset and split it")
-    p.add_argument("--n", help="total record count (default 8000)")
-    p.add_argument("--group-probs", dest="group_probs", help="comma list, e.g. 0.5,0.5")
-    p.add_argument("--noise-scales", dest="noise_scales", help="comma list, one per group")
-    p.add_argument("--feature-dim", dest="feature_dim", help="feature count (default 3)")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--fractions", help="train,cal,test fractions (default 0.5,0.25,0.25)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", parents=[common], help="fit the quantile model")
-    p.add_argument("--data", help="training CSV")
-    p.add_argument("--alpha", help="miscoverage level (default 0.1)")
-    p.add_argument("--lr", help="initial step size (default 0.1)")
-    p.add_argument("--epochs", help="epoch count (default 400)")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--attribute-col", dest="attribute_col", help="group column name")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("calibrate", parents=[common], help="calibrate intervals on held-out data")
-    p.add_argument("--data", help="calibration CSV")
-    p.add_argument("--model", help="model JSON from fit")
-    p.add_argument("--method", help="cp | cqr | cqr_groupwise | fuq (default fuq)")
-    p.add_argument("--alpha", help="miscoverage level (default 0.1)")
-    p.add_argument("--bins", help="label bin count for fuq (default 4)")
-    p.add_argument("--max-iters", dest="max_iters", help="optimizer iteration cap")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--attribute-col", dest="attribute_col", help="group column name")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("evaluate", parents=[common], help="score a calibrator on test data")
-    p.add_argument("--data", help="test CSV")
-    p.add_argument("--model", help="model JSON from fit")
-    p.add_argument("--calibrator", help="calibrator JSON from calibrate")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--attribute-col", dest="attribute_col", help="group column name")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", parents=[common], help="run all methods and tabulate")
-    p.add_argument("--train", help="training CSV (fits a model unless --model is given)")
-    p.add_argument("--cal", help="calibration CSV")
-    p.add_argument("--test", help="test CSV")
-    p.add_argument("--model", help="model JSON to reuse")
-    p.add_argument("--methods", help="comma list (default cp,cqr,cqr_groupwise,fuq)")
-    p.add_argument("--alpha", help="miscoverage level (default 0.1)")
-    p.add_argument("--bins", help="label bin count for fuq (default 4)")
-    p.add_argument("--lr", help="fit step size (default 0.1)")
-    p.add_argument("--epochs", help="fit epoch count (default 400)")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--attribute-col", dest="attribute_col", help="group column name")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "sweep-m",
-        parents=[common],
-        help="vary the bin count on a split of the calibration data",
-    )
-    p.add_argument("--data", help="calibration CSV to split in half")
-    p.add_argument("--model", help="model JSON from fit")
-    p.add_argument("--m-values", dest="m_values", help="comma list (default 1,2,4,8)")
-    p.add_argument("--alpha", help="miscoverage level (default 0.1)")
-    p.add_argument("--label-domain", dest="label_domain", help="lo,hi (default 0,63)")
-    p.add_argument("--attribute-col", dest="attribute_col", help="group column name")
-    p.set_defaults(func=cmd_sweep_m)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="key=value config file; flags take precedence")
+        p.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
+        for key in COMMON + command.options:
+            option = OPTIONS[key]
+            text = option.help
+            if option.default is not None:
+                text += f" (default {_show(option.default)})"
+            p.add_argument(_flag(key), help=text)
     return parser
 
 
@@ -635,9 +480,42 @@ def _fail(exc: Exception, code: int, json_errors: bool) -> int:
     return code
 
 
+def _run(args, config) -> None:
+    """Resolve the command's options, run its handler and write ``manifest.json``."""
+    started = time.perf_counter()
+    command = COMMANDS[args.command]
+    resolved = {
+        key: _resolve(args, config, key, OPTIONS[key].cast, OPTIONS[key].default,
+                      required=key in command.required)
+        for key in COMMON + command.options
+    }
+    out_dir = resolved["out_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use --out-dir {out_dir!r}: {exc}") from None
+    step = command.handler(argparse.Namespace(**resolved))
+    manifest = {
+        "command": args.command,
+        "config": resolved,
+        "inputs": {path: _sha256(path) for path in sorted(step.inputs)},
+        "outputs": {
+            name: _sha256(os.path.join(out_dir, name)) for name in sorted(step.outputs)
+        },
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "package": __version__,
+        },
+        "timings": {"total_seconds": time.perf_counter() - started, **step.timings},
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     json_errors = bool(args.json_errors)
     try:
         config = _load_config(args.config) if args.config else {}
@@ -646,7 +524,8 @@ def main(argv=None) -> int:
             "true",
             "yes",
         )
-        return args.func(args, config)
+        _run(args, config)
+        return 0
     except ValidationError as exc:
         return _fail(exc, 1, json_errors)
     except ArithmeticError as exc:

@@ -18,8 +18,6 @@ __all__ = [
     "ValidationError",
     "EmptyCellError",
     "DivergenceError",
-    "GroupLabel",
-    "CalibrationRecord",
     "SplitSpec",
     "Dataset",
     "load_dataset",
@@ -52,29 +50,6 @@ class DivergenceError(ArithmeticError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training loss became non-finite at epoch {epoch}")
-
-
-@dataclass(frozen=True)
-class GroupLabel:
-    """Dense integer group id plus a human-readable name."""
-
-    id: int
-    display_name: str
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValidationError(f"group id must be non-negative, got {self.id}")
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One labelled example with optional raw quantile bounds."""
-
-    id: str
-    y: float
-    q_lo: float | None
-    q_hi: float | None
-    group: int
 
 
 @dataclass(frozen=True)
@@ -190,25 +165,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return 0 if self.features is None else self.features.shape[1]
-
-    @property
-    def records(self) -> tuple[CalibrationRecord, ...]:
-        has_q = self.q_lo is not None
-        return tuple(
-            CalibrationRecord(
-                id=self.ids[i],
-                y=float(self.y[i]),
-                q_lo=float(self.q_lo[i]) if has_q else None,
-                q_hi=float(self.q_hi[i]) if has_q else None,
-                group=int(self.group[i]),
-            )
-            for i in range(self.n)
-        )
-
-    @property
-    def group_labels(self) -> tuple[GroupLabel, ...]:
-        names = self.group_names or tuple(f"group-{s}" for s in range(self.group_count))
-        return tuple(GroupLabel(s, names[s]) for s in range(self.group_count))
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)

@@ -79,12 +79,6 @@ class IntervalSet:
         """Sum of component lengths; zero for a fallback-only prediction."""
         return float(sum(b - a for a, b in self.components))
 
-    def hull_width(self) -> float:
-        """Width of the convex hull of the union (secondary diagnostic)."""
-        if not self.components:
-            return 0.0
-        return self.components[-1][1] - self.components[0][0]
-
     def as_text(self) -> str:
         return ";".join(f"{repr(a)}:{repr(b)}" for a, b in self.components)
 

@@ -1,5 +1,6 @@
 """End-to-end command line pipeline and its failure modes."""
 
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from faircov import write_dataset
-from faircov.cli import main
+from faircov.cli import build_parser, main
 
 from conftest import make_dataset
 
@@ -279,3 +280,153 @@ class TestSplitCpArtifact:
         with open(os.path.join(out, "report.json")) as fh:
             report = json.load(fh)
         assert report["point_source"] == "median"
+
+
+class TestMalformedArtifacts:
+    def run_json_errors(self, argv, capsys):
+        code = main(argv + ["--json-errors"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert payload["error"] == "ValidationError"
+        assert payload["exit_code"] == 1
+        return payload["message"]
+
+    def evaluate_with(self, pipeline, tmp_path, capsys, calibrator_payload):
+        path = tmp_path / "calibrator.json"
+        path.write_text(json.dumps(calibrator_payload))
+        return self.run_json_errors(
+            [
+                "evaluate",
+                "--out-dir", str(tmp_path / "out"),
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--calibrator", str(path),
+            ],
+            capsys,
+        )
+
+    def test_calibrator_that_is_a_list(self, pipeline, tmp_path, capsys):
+        message = self.evaluate_with(pipeline, tmp_path, capsys, [1, 2])
+        assert "malformed calibrator file" in message
+
+    def test_calibrator_with_scalar_bounds(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline, "calibrator.json")) as fh:
+            payload = json.load(fh)
+        payload["bounds"] = 5
+        message = self.evaluate_with(pipeline, tmp_path, capsys, payload)
+        assert "malformed calibrator file" in message
+
+    def test_model_that_is_a_list(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+        message = self.run_json_errors(
+            [
+                "calibrate",
+                "--out-dir", str(tmp_path / "out"),
+                "--data", os.path.join(pipeline, "cal.csv"),
+                "--model", str(path),
+            ],
+            capsys,
+        )
+        assert "malformed model file" in message
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        message = self.run_json_errors(["simulate", "--out-dir", str(path), "--n", "40"], capsys)
+        assert "--out-dir" in message
+
+
+# Each subcommand's flags, written out so that no edit to the option tables adds
+# or drops one unnoticed.
+SHARED_FLAGS = ["--out-dir", "--config", "--json-errors", "--seed"]
+FLAGS = {
+    "simulate": [
+        "--n", "--group-probs", "--noise-scales", "--feature-dim", "--label-domain",
+        "--fractions",
+    ],
+    "fit": ["--data", "--alpha", "--lr", "--epochs", "--label-domain", "--attribute-col"],
+    "calibrate": [
+        "--data", "--model", "--method", "--alpha", "--bins", "--max-iters", "--label-domain",
+        "--attribute-col",
+    ],
+    "evaluate": ["--data", "--model", "--calibrator", "--label-domain", "--attribute-col"],
+    "compare": [
+        "--train", "--cal", "--test", "--model", "--methods", "--alpha", "--bins", "--lr",
+        "--epochs", "--label-domain", "--attribute-col",
+    ],
+    "sweep-m": [
+        "--data", "--model", "--m-values", "--alpha", "--label-domain", "--attribute-col",
+    ],
+}
+# Values for each command's required options, so resolution reaches the bad value.
+REQUIRED = {
+    "simulate": [],
+    "calibrate": ["--data", "unused.csv"],
+    "compare": ["--cal", "unused.csv", "--test", "unused.csv"],
+    "sweep-m": ["--data", "unused.csv", "--model", "unused.json"],
+}
+
+
+class TestCliSurface:
+    def test_each_command_accepts_exactly_its_flags(self):
+        action = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(action.choices) == sorted(FLAGS)
+        for command, flags in FLAGS.items():
+            accepted = {
+                flag for a in action.choices[command]._actions for flag in a.option_strings
+            }
+            assert accepted - {"-h", "--help"} == set(SHARED_FLAGS + flags), command
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("calibrate", "alpha", "abc"),
+            ("calibrate", "label-domain", "1"),
+            ("calibrate", "bins", "2.5"),
+            ("calibrate", "seed", "x"),
+            ("calibrate", "method", "bogus"),
+            ("simulate", "noise-scales", "1,b"),
+            ("compare", "methods", "cp,bogus"),
+            ("sweep-m", "m-values", "1,x"),
+        ],
+    )
+    def test_invalid_value_exits_one(self, tmp_path, capsys, source, command, key, value):
+        argv = [command, "--out-dir", str(tmp_path / "out"), *REQUIRED[command]]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"invalid value {value!r} for --{key}" in capsys.readouterr().err
+
+    def test_manifest_records_every_declared_option(self, pipeline, tmp_path):
+        def path(name):
+            return os.path.join(pipeline, name)
+
+        argv = {
+            "simulate": ["--n", "80", "--feature-dim", "2"],
+            "fit": ["--data", path("train.csv"), "--epochs", "5"],
+            "calibrate": ["--data", path("cal.csv"), "--model", path("model.json"), "--bins", "2"],
+            "evaluate": [
+                "--data", path("test.csv"), "--model", path("model.json"),
+                "--calibrator", path("calibrator.json"),
+            ],
+            "compare": [
+                "--cal", path("cal.csv"), "--test", path("test.csv"),
+                "--model", path("model.json"), "--bins", "2",
+            ],
+            "sweep-m": ["--data", path("cal.csv"), "--model", path("model.json"), "--m-values", "1"],
+        }
+        for command, flags in FLAGS.items():
+            out = str(tmp_path / command)
+            assert main([command, "--out-dir", out, *argv[command]]) == 0, command
+            with open(os.path.join(out, "manifest.json")) as fh:
+                config = json.load(fh)["config"]
+            declared = {flag[2:].replace("-", "_") for flag in SHARED_FLAGS + flags}
+            assert set(config) == declared - {"config", "json_errors"}, command

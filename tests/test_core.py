@@ -1,8 +1,12 @@
 """Dataset container, CSV round-trip, and split behavior."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import faircov
 from faircov import (
     Dataset,
     SplitSpec,
@@ -166,3 +170,18 @@ class TestSplitDataset:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValidationError):
             SplitSpec(fractions=(0.5, 0.3, 0.1), seed=0)
+
+
+MODULES = ["faircov"] + [
+    f"faircov.{info.name}"
+    for info in pkgutil.iter_modules(faircov.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_names_exist(module):
+    # a stale __all__ entry makes star-import raise AttributeError
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)

@@ -143,11 +143,6 @@ class TestIntervalSet:
         with pytest.raises(ValidationError, match="disjoint"):
             IntervalSet(components=((1.0, 3.0), (3.0, 4.0)))
 
-    def test_hull_width(self):
-        iv = IntervalSet.from_pieces([(1.0, 2.0), (6.0, 7.0)])
-        assert iv.hull_width() == 6.0
-        assert iv.total_width() == 2.0
-
     def test_text_round_trip_precision(self):
         iv = IntervalSet.from_pieces([(0.1 + 0.2, 1.0 / 3.0 + 1.0)])
         a, b = iv.as_text().split(";")[0].split(":")
