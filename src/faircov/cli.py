@@ -4,11 +4,11 @@ The CLI is two tables. ``OPTIONS`` declares every option once: its cast
 from text, its default and its help. ``COMMANDS`` maps each subcommand
 to its handler, help, options and required options. ``build_parser``
 generates the subparsers from them, and ``main`` does the shared work
-of every command in one path: it resolves each declared option (flag,
-else ``key=value`` config file, else default), creates the out-dir,
-times the handler, and writes ``manifest.json`` from the resolved
-options plus the inputs and outputs the handler returns. Each ``cmd_*``
-handler does only its own work.
+of every command in one path: it rejects config keys no option declares,
+resolves each declared option (flag, else ``key=value`` config file,
+else default), creates the out-dir, times the handler, and writes
+``manifest.json`` from the resolved options plus the inputs and outputs
+the handler returns. Each ``cmd_*`` handler does only its own work.
 
 Artifacts are deterministic given identical inputs and seeds;
 ``manifest.json`` additionally records wall-clock timings and is
@@ -44,7 +44,8 @@ from .core import (
     write_dataset,
 )
 from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate
-from .intervals import predict_interval
+from .intervals import IntervalSet, band_pieces
+from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
     _resolve_band,
     comparison_header,
@@ -132,11 +133,12 @@ class Command(NamedTuple):
 
 
 class Step(NamedTuple):
-    """What a handler hands back for the manifest."""
+    """What a handler hands back for the manifest; ``hashes`` are input hashes it already took."""
 
     inputs: list[str]
     outputs: list[str]
     timings: dict = {}
+    hashes: dict = {}
 
 
 def _flag(key: str) -> str:
@@ -239,8 +241,8 @@ def cmd_calibrate(o) -> Step:
     model = _load_model(o.model)
     inputs = [path for path in (o.data, o.model) if path]
     calibrator, trace = _run_calibration(o.method, cal, model, o.alpha, o.bins, o.max_iters)
+    input_hashes = {path: _sha256(path) for path in inputs}
     if isinstance(calibrator, ThresholdTable):
-        input_hashes = {path: _sha256(path) for path in inputs}
         extras = {"method": o.method, "seed": o.seed, "input_hashes": input_hashes}
         if trace is not None:
             extras["trace_summary"] = trace.summary()
@@ -248,39 +250,27 @@ def cmd_calibrate(o) -> Step:
     else:
         text = calibrator.to_json()
     _write_text(o, "calibrator.json", text)
-    return Step(inputs, ["calibrator.json"])
+    return Step(inputs, ["calibrator.json"], hashes=input_hashes)
 
 
 def _write_predictions(path, test, model, calibrator) -> None:
+    """One row per test record; ``width`` is the merged union's width."""
     q_lo, q_hi, partition, r_hat, point, _ = _resolve_band(test, model, calibrator)
-    if isinstance(calibrator, ThresholdTable):
-        table = calibrator
-    else:
-        table = ThresholdTable(
-            r_hat=r_hat,
-            global_r_hat=calibrator.r_hat,
-            alpha=calibrator.alpha,
-            partition=partition,
-            group_count=test.group_count,
-        )
+    a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
+    fallback = np.clip(point, *partition.label_domain)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
-        for i in range(test.n):
-            pred = predict_interval(
-                float(q_lo[i]),
-                float(q_hi[i]),
-                int(test.group[i]),
-                table,
-                median=float(point[i]),
-            )
+        rows = zip(test.ids, test.group.tolist(), test.y.tolist(), fallback.tolist(), a.T, b.T)
+        for record_id, group, y, fallback_point, row_a, row_b in rows:
+            pred = IntervalSet.from_pieces(list(zip(row_a.tolist(), row_b.tolist())), fallback_point)
             writer.writerow(
                 [
-                    test.ids[i],
-                    int(test.group[i]),
+                    record_id,
+                    group,
                     pred.as_text(),
                     "" if pred.fallback_point is None else repr(pred.fallback_point),
-                    int(pred.contains(float(test.y[i]))),
+                    int(pred.contains(y)),
                     repr(pred.total_width()),
                 ]
             )
@@ -484,6 +474,9 @@ def _run(args, config) -> None:
     """Resolve the command's options, run its handler and write ``manifest.json``."""
     started = time.perf_counter()
     command = COMMANDS[args.command]
+    unknown = sorted(set(config) - set(OPTIONS) - {"json_errors"})
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
     resolved = {
         key: _resolve(args, config, key, OPTIONS[key].cast, OPTIONS[key].default,
                       required=key in command.required)
@@ -498,7 +491,7 @@ def _run(args, config) -> None:
     manifest = {
         "command": args.command,
         "config": resolved,
-        "inputs": {path: _sha256(path) for path in sorted(step.inputs)},
+        "inputs": {path: step.hashes.get(path) or _sha256(path) for path in sorted(step.inputs)},
         "outputs": {
             name: _sha256(os.path.join(out_dir, name)) for name in sorted(step.outputs)
         },

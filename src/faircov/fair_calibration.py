@@ -14,6 +14,10 @@ the cell score order statistics; moving to the adjacent order statistic
 is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
 width-bounded.
+
+A calibration scores its calibration set once, into a :class:`CellScores`
+(scores, bins, sorted cell scores, counts) that the global seed shift,
+the seed :class:`CoverageState` and :func:`eoc_optimize` all share.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinPartition, bin_indices, equal_mass_bins
-from .conformal import band_columns, conformity_scores, cqr_calibrate, empirical_quantile
+from .conformal import band_columns, conformity_scores, empirical_quantile
+from .conformal import cqr_calibrate  # noqa: F401 - bench/tracing.py rebinds this name
 from .core import Dataset, EmptyCellError, ValidationError
-from .intervals import union_widths
+from .intervals import band_pieces, union_widths
 from .quantile_model import QuantileModel
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "SLOPE_CROSSOVER",
     "MAX_ITERS",
     "ThresholdTable",
+    "CellScores",
     "CoverageState",
     "IterationRecord",
     "OptimizerTrace",
@@ -105,12 +111,56 @@ class ThresholdTable:
 
 
 @dataclass(frozen=True)
+class CellScores:
+    """One conformity-score pass over a calibration set, split by cell.
+
+    ``cells[m][s]`` holds the sorted scores of (bin ``m``, group ``s``).
+    :meth:`measure` raises :class:`EmptyCellError` on the first empty
+    cell in bin-major order.
+    """
+
+    scores: np.ndarray  # (n,)
+    bins: np.ndarray  # (n,) 0-based bin indices
+    cells: list[list[np.ndarray]]
+    counts: np.ndarray  # (M, S) ints
+    partition: BinPartition
+
+    @classmethod
+    def measure(
+        cls, cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
+    ) -> "CellScores":
+        scores = conformity_scores(cal, model, alpha)
+        bins0 = bin_indices(partition, cal.y)
+        m_bins, s_groups = partition.m, cal.group_count
+        key = bins0 * s_groups + cal.group
+        counts = np.bincount(key, minlength=m_bins * s_groups).reshape(m_bins, s_groups)
+        empty = np.argwhere(counts == 0)
+        if empty.size:
+            raise EmptyCellError(int(empty[0, 0]) + 1, int(empty[0, 1]))
+        # a stable sort keeps each cell's records in dataset order
+        split = np.split(scores[np.argsort(key, kind="stable")], np.cumsum(counts.ravel())[:-1])
+        cells = [[np.sort(split[m * s_groups + s]) for s in range(s_groups)] for m in range(m_bins)]
+        return cls(scores=scores, bins=bins0, cells=cells, counts=counts, partition=partition)
+
+    def coverage(self, r_hat: np.ndarray) -> "CoverageState":
+        """Share of each cell's scores at or below its threshold."""
+        covered = [[_covered_count(c, r) for c, r in zip(*row)] for row in zip(self.cells, r_hat)]
+        beta = np.array(covered) / self.counts
+        return CoverageState(beta=beta, per_group_mean=beta.mean(axis=0), cells=self)
+
+
+@dataclass(frozen=True)
 class CoverageState:
-    """Per-cell coverage rates and their unweighted per-group bin means."""
+    """Per-cell coverage rates, their unweighted per-group bin means, and
+    the cell scores they were measured on."""
 
     beta: np.ndarray  # (M, S)
     per_group_mean: np.ndarray  # (S,)
-    cell_counts: np.ndarray  # (M, S) ints
+    cells: CellScores
+
+    @property
+    def cell_counts(self) -> np.ndarray:  # (M, S) ints
+        return self.cells.counts
 
 
 @dataclass(frozen=True)
@@ -158,27 +208,6 @@ class OptimizerTrace:
         }
 
 
-def _cell_scores(
-    cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
-) -> tuple[list[list[np.ndarray]], np.ndarray]:
-    """Sorted conformity scores per (bin, group) cell; errors on empty cells."""
-    scores = conformity_scores(cal, model, alpha)
-    bins0 = bin_indices(partition, cal.y)
-    m_bins, s_groups = partition.m, cal.group_count
-    cells: list[list[np.ndarray]] = []
-    counts = np.zeros((m_bins, s_groups), dtype=np.int64)
-    for m in range(m_bins):
-        row = []
-        for s in range(s_groups):
-            cell = np.sort(scores[(bins0 == m) & (cal.group == s)])
-            if cell.size == 0:
-                raise EmptyCellError(m + 1, s)
-            counts[m, s] = cell.size
-            row.append(cell)
-        cells.append(row)
-    return cells, counts
-
-
 def measure_coverage(cal: Dataset, model: QuantileModel | None, table: ThresholdTable) -> CoverageState:
     """Coverage rate of every calibration cell under the current table.
 
@@ -186,29 +215,27 @@ def measure_coverage(cal: Dataset, model: QuantileModel | None, table: Threshold
     threshold of its own (bin, group) cell, which is exactly membership
     in the closed calibrated band.
     """
-    cells, counts = _cell_scores(cal, model, table.partition, table.alpha)
-    m_bins, s_groups = counts.shape
-    beta = np.zeros((m_bins, s_groups))
-    for m in range(m_bins):
-        for s in range(s_groups):
-            k = int(np.searchsorted(cells[m][s], table.r_hat[m, s], side="right"))
-            beta[m, s] = k / counts[m, s]
-    return CoverageState(beta=beta, per_group_mean=beta.mean(axis=0), cell_counts=counts)
+    return CellScores.measure(cal, model, table.partition, table.alpha).coverage(table.r_hat)
 
 
 def init_thresholds(
     cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
 ) -> tuple[ThresholdTable, CoverageState]:
-    """Seed every cell with the global calibrated shift."""
-    global_threshold = cqr_calibrate(cal, model, alpha)
+    """Seed every cell with the global calibrated shift.
+
+    The global shift is the conformal quantile of the same scores the
+    seed state is measured on, so the calibration set is scored once.
+    """
+    cells = CellScores.measure(cal, model, partition, alpha)
+    global_r_hat = empirical_quantile(cells.scores, 1.0 - alpha)
     table = ThresholdTable(
-        r_hat=np.full((partition.m, cal.group_count), global_threshold.r_hat),
-        global_r_hat=global_threshold.r_hat,
+        r_hat=np.full((partition.m, cal.group_count), global_r_hat),
+        global_r_hat=global_r_hat,
         alpha=alpha,
         partition=partition,
         group_count=cal.group_count,
     )
-    return table, measure_coverage(cal, model, table)
+    return table, cells.coverage(table.r_hat)
 
 
 def _covered_count(cell: np.ndarray, threshold: float) -> int:
@@ -308,9 +335,13 @@ def eoc_optimize(
     post-move group means, so every group stays inside its parking
     window and the covered count never falls below its floor.
 
-    With a single group there is nothing to trade and the input table is
-    returned unchanged.
+    The cell scores are those ``state0`` was measured on; a ``state0``
+    of another calibration set or partition raises ValidationError.
+    With a single group the input table is returned unchanged.
     """
+    cell_scores = state0.cells
+    if cell_scores.partition != table0.partition or int(cell_scores.counts.sum()) != cal.n:
+        raise ValidationError("state0 was measured on another calibration set or partition")
     if max_iters is None:
         max_iters = 10 * cal.n
     if max_iters < 1:
@@ -322,18 +353,16 @@ def eoc_optimize(
     if s_groups == 1:
         return table0, OptimizerTrace(init_means, (), CONVERGED)
 
-    cells, counts = _cell_scores(cal, model, table0.partition, alpha)
+    cells, counts = cell_scores.cells, cell_scores.counts
     thr = np.array(table0.r_hat, dtype=np.float64)
     k = np.zeros((m_bins, s_groups), dtype=np.int64)
-    for m in range(m_bins):
-        for s in range(s_groups):
-            k[m, s] = _covered_count(cells[m][s], thr[m, s])
     # Re-express thresholds on the covering order statistic of each cell.
     # Coverage is unchanged, pure threshold slack is released as width,
     # and every later move lands exactly on an adjacent order statistic.
     # Cells covering nothing keep their seed threshold below the minimum.
     for m in range(m_bins):
         for s in range(s_groups):
+            k[m, s] = _covered_count(cells[m][s], thr[m, s])
             if k[m, s] >= 1:
                 thr[m, s] = cells[m][s][k[m, s] - 1]
 
@@ -355,9 +384,35 @@ def eoc_optimize(
     def group_means() -> np.ndarray:
         return (k / counts).mean(axis=0)
 
+    def shift(m: int, s: int, offset: int) -> bool:
+        # Move cell (m, s) to the order statistic ``offset`` places from
+        # its covering one: -1 drops one covered sample, +1 covers one
+        # more. False when tied scores leave the threshold where it was.
+        new_thr = float(cells[m][s][k[m, s] - 1 + offset])
+        if new_thr == thr[m, s]:
+            return False
+        thr[m, s] = new_thr
+        k[m, s] = _covered_count(cells[m][s], new_thr)
+        return True
+
     iterations: list[IterationRecord] = []
+
+    def record(s1, s2, m1, m2, d_slope, i_slope):
+        iterations.append(
+            IterationRecord(
+                step=len(iterations) + 1,
+                donor_group=s1,
+                recipient_group=s2,
+                donor_bin=m1 + 1 if s1 >= 0 else 0,
+                recipient_bin=m2 + 1 if s2 >= 0 else 0,
+                slope_decrease=float(d_slope),
+                slope_increase=float(i_slope),
+                per_group_mean=tuple(float(v) for v in group_means()),
+            )
+        )
+
     reason: str | None = None
-    for step in range(1, max_iters + 1):
+    for _ in range(max_iters):
         mu = group_means()
         over_band = (mu - level) > stop + eps
         under = mu < level - eps
@@ -399,34 +454,12 @@ def eoc_optimize(
                 reason = SLOPE_CROSSOVER
                 break
 
-        moved = False
-        if s1 >= 0:
-            new_thr1 = float(cells[m1][s1][k[m1, s1] - 2])
-            if new_thr1 != thr[m1, s1]:
-                thr[m1, s1] = new_thr1
-                k[m1, s1] = _covered_count(cells[m1][s1], new_thr1)
-                moved = True
-        if s2 >= 0:
-            new_thr2 = float(cells[m2][s2][k[m2, s2]])
-            if new_thr2 != thr[m2, s2]:
-                thr[m2, s2] = new_thr2
-                k[m2, s2] = _covered_count(cells[m2][s2], new_thr2)
-                moved = True
+        moved = s1 >= 0 and shift(m1, s1, -1)
+        moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
         if not moved:
             reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
             break
-        iterations.append(
-            IterationRecord(
-                step=step,
-                donor_group=s1,
-                recipient_group=s2,
-                donor_bin=m1 + 1 if s1 >= 0 else 0,
-                recipient_bin=m2 + 1 if s2 >= 0 else 0,
-                slope_decrease=float(best_dec) if s1 >= 0 else float("nan"),
-                slope_increase=float(best_inc) if s2 >= 0 else float("nan"),
-                per_group_mean=tuple(float(v) for v in group_means()),
-            )
-        )
+        record(s1, s2, m1, m2, best_dec if s1 >= 0 else np.nan, best_inc if s2 >= 0 else np.nan)
     if reason is None:
         reason = MAX_ITERS
 
@@ -441,27 +474,11 @@ def eoc_optimize(
         # same-group rebalance is allowed even when its drop alone would
         # dip below the target. Stops at the slope crossover, where no
         # exchange pays for itself.
-        step0 = iterations[-1].step if iterations else 0
-
-        def record(step, s1, s2, m1, m2, d_slope, i_slope):
-            iterations.append(
-                IterationRecord(
-                    step=step,
-                    donor_group=s1,
-                    recipient_group=s2,
-                    donor_bin=m1 + 1 if s1 >= 0 else 0,
-                    recipient_bin=m2 + 1 if s2 >= 0 else 0,
-                    slope_decrease=float(d_slope),
-                    slope_increase=float(i_slope),
-                    per_group_mean=tuple(float(v) for v in group_means()),
-                )
-            )
-
         progress = True
-        while progress and step0 < max_iters:
+        while progress and len(iterations) < max_iters:
             progress = False
 
-            while int(k.sum()) > k_floor and step0 < max_iters:
+            while int(k.sum()) > k_floor and len(iterations) < max_iters:
                 mu = group_means()
                 best = None
                 for m in range(m_bins):
@@ -477,13 +494,11 @@ def eoc_optimize(
                 if best is None:
                     break
                 d_slope, m1, s1 = best
-                thr[m1, s1] = float(cells[m1][s1][k[m1, s1] - 2])
-                k[m1, s1] = _covered_count(cells[m1][s1], thr[m1, s1])
-                step0 += 1
+                shift(m1, s1, -1)
                 progress = True
-                record(step0, s1, -1, m1, 0, d_slope, float("nan"))
+                record(s1, -1, m1, 0, d_slope, np.nan)
 
-            while step0 < max_iters:
+            while len(iterations) < max_iters:
                 mu = group_means()
                 decs = [
                     (_dec_slope(cells[m][s], int(k[m, s])), m, s)
@@ -506,11 +521,7 @@ def eoc_optimize(
                         mu1 = mu[s1] - cell_weight * s_groups / counts[m1, s1]
                         mu2 = mu[s2] + cell_weight * s_groups / counts[m2, s2]
                         if s1 == s2:
-                            post = (
-                                mu[s1]
-                                - cell_weight * s_groups / counts[m1, s1]
-                                + cell_weight * s_groups / counts[m2, s2]
-                            )
+                            post = mu1 + cell_weight * s_groups / counts[m2, s2]
                             ok = level - eps <= post <= level + stop[s1] + eps
                         else:
                             ok = (
@@ -523,13 +534,10 @@ def eoc_optimize(
                 if move is None:
                     break
                 m1, s1, m2, s2, d_slope, i_slope = move
-                thr[m1, s1] = float(cells[m1][s1][k[m1, s1] - 2])
-                k[m1, s1] = _covered_count(cells[m1][s1], thr[m1, s1])
-                thr[m2, s2] = float(cells[m2][s2][k[m2, s2]])
-                k[m2, s2] = _covered_count(cells[m2][s2], thr[m2, s2])
-                step0 += 1
+                shift(m1, s1, -1)
+                shift(m2, s2, 1)
                 progress = True
-                record(step0, s1, s2, m1, m2, d_slope, i_slope)
+                record(s1, s2, m1, m2, d_slope, i_slope)
 
     table = ThresholdTable(
         r_hat=thr,
@@ -562,17 +570,11 @@ def cqr_calibrate_groupwise(
     cal: Dataset, model: QuantileModel | None, alpha: float
 ) -> ThresholdTable:
     """Independent calibration per group over a single label bin."""
-    scores = conformity_scores(cal, model, alpha)
     partition = BinPartition(bounds=cal.label_domain, counts=(cal.n,))
-    r = np.zeros((1, cal.group_count))
-    for s in range(cal.group_count):
-        group_scores = scores[cal.group == s]
-        if group_scores.size == 0:
-            raise EmptyCellError(1, s)
-        r[0, s] = empirical_quantile(group_scores, 1.0 - alpha)
+    cells = CellScores.measure(cal, model, partition, alpha)
     return ThresholdTable(
-        r_hat=r,
-        global_r_hat=empirical_quantile(scores, 1.0 - alpha),
+        r_hat=[[empirical_quantile(cell, 1.0 - alpha) for cell in cells.cells[0]]],
+        global_r_hat=empirical_quantile(cells.scores, 1.0 - alpha),
         alpha=alpha,
         partition=partition,
         group_count=cal.group_count,
@@ -604,7 +606,8 @@ def brute_force_oracle(
     m_bins, s_groups = partition.m, cal.group_count
     if m_bins * s_groups > 4:
         raise ValidationError("oracle search is limited to at most 4 cells")
-    cells, counts = _cell_scores(cal, model, partition, alpha)
+    cell_scores = CellScores.measure(cal, model, partition, alpha)
+    cells, counts = cell_scores.cells, cell_scores.counts
     if float(np.prod(counts + 1.0)) > 2e6:
         raise ValidationError("oracle search is limited to two million candidate tables")
     q_lo, q_hi, _ = band_columns(cal, model, alpha)
@@ -628,12 +631,11 @@ def brute_force_oracle(
             crow.append(values)
             krow.append(np.searchsorted(cell, values, side="right"))
             in_group = cal.group == s
-            lo_g, hi_g = q_lo[in_group], q_hi[in_group]
+            lo_g, hi_g, group_g = q_lo[in_group], q_hi[in_group], cal.group[in_group]
             widths = np.empty(values.size)
             for c, t in enumerate(values):
-                a = np.maximum(lo_g - t, bounds[m])
-                b = np.minimum(hi_g + t, bounds[m + 1])
-                widths[c] = np.clip(b - a, 0.0, None).sum()
+                a, b = band_pieces(lo_g, hi_g, group_g, np.full((m_bins, s_groups), t), bounds)
+                widths[c] = np.clip(b[m] - a[m], 0.0, None).sum()
             wrow.append(widths)
         cand.append(crow)
         cand_k.append(krow)
@@ -685,7 +687,7 @@ def brute_force_oracle(
             r[m, s] = cand[m][s][group_choices[s][combo, m]]
     return ThresholdTable(
         r_hat=r,
-        global_r_hat=cqr_calibrate(cal, model, alpha).r_hat,
+        global_r_hat=empirical_quantile(cell_scores.scores, 1.0 - alpha),
         alpha=alpha,
         partition=partition,
         group_count=s_groups,

@@ -2,11 +2,13 @@
 
 A calibrated prediction is the union over label bins of the band
 ``[q_lo - r, q_hi + r]`` intersected with the bin, where the shift ``r``
-depends on the record's group and the bin. Components touching at a bin
-bound merge, and bin pieces are closed at merge time (a measure-zero
-change from the half-open bins), so every prediction is a set of closed,
-pairwise disjoint, ascending intervals. When every piece is empty the
-prediction degenerates to a zero-width fallback point.
+depends on the record's group and the bin. Only the kernel
+:func:`band_pieces` computes it: every other band user reads its clipped
+piece bounds. Components touching at a bin bound merge, and bin pieces
+are closed at merge time (a measure-zero change from the half-open
+bins), so every :class:`IntervalSet` is a set of closed, pairwise
+disjoint, ascending intervals. When every piece is empty the prediction
+degenerates to a zero-width fallback point.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 
 __all__ = [
     "IntervalSet",
+    "band_pieces",
     "predict_interval",
-    "contains",
-    "total_width",
     "union_widths",
     "union_covered",
 ]
@@ -71,26 +72,40 @@ class IntervalSet:
         return cls(components=(), fallback_point=float(fallback))
 
     def contains(self, y: float) -> bool:
+        """Whether the union (or its fallback point) contains the label."""
         if not self.components:
             return y == self.fallback_point
         return any(a <= y <= b for a, b in self.components)
 
     def total_width(self) -> float:
-        """Sum of component lengths; zero for a fallback-only prediction."""
+        """Sum of the merged component lengths; zero for a fallback-only prediction."""
         return float(sum(b - a for a, b in self.components))
 
     def as_text(self) -> str:
         return ";".join(f"{repr(a)}:{repr(b)}" for a, b in self.components)
 
 
-def contains(interval_set: IntervalSet, y: float) -> bool:
-    """Whether the union (or its fallback point) contains the label."""
-    return interval_set.contains(y)
+def band_pieces(
+    q_lo: np.ndarray,
+    q_hi: np.ndarray,
+    group: np.ndarray,
+    r_hat: np.ndarray,
+    bounds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The interval kernel: clipped band pieces of every record in every bin.
 
-
-def total_width(interval_set: IntervalSet) -> float:
-    """Total length of the union; the fallback point has zero width."""
-    return interval_set.total_width()
+    Returns ``(a, b)`` of shape ``(M, n)``. Piece ``m`` of record ``i``
+    is ``[max(q_lo[i] - r, bounds[m]), min(q_hi[i] + r, bounds[m + 1])]``
+    with ``r = r_hat[m, group[i]]``. It is empty where ``b < a``; a
+    zero-width piece (``a == b``) still counts. Only ``a`` and ``b`` are
+    allocated at full size.
+    """
+    r = r_hat[:, group]  # a fresh (M, n) copy, reused for b
+    a = q_lo - r
+    np.maximum(a, bounds[:-1, None], out=a)
+    b = np.add(q_hi, r, out=r)
+    np.minimum(b, bounds[1:, None], out=b)
+    return a, b
 
 
 def predict_interval(
@@ -102,8 +117,7 @@ def predict_interval(
 ) -> IntervalSet:
     """Build the union-of-bins prediction for one record.
 
-    Each bin contributes ``[q_lo - r, q_hi + r]`` clipped to the bin,
-    where ``r`` is the table entry for (bin, group). ``median`` seeds the
+    The pieces come from :func:`band_pieces`. ``median`` seeds the
     fallback point when every piece is empty; without one the band
     midpoint is used. The fallback is clipped to the label domain.
     """
@@ -111,18 +125,14 @@ def predict_interval(
         raise ValidationError("q_lo exceeds q_hi; quantile bands must be ordered")
     if not 0 <= group < table.group_count:
         raise ValidationError(f"group id {group} outside [0, {table.group_count})")
-    bounds = table.partition.bounds
-    pieces: list[tuple[float, float]] = []
-    for m in range(table.partition.m):
-        r = float(table.r_hat[m, group])
-        a = max(q_lo - r, bounds[m])
-        b = min(q_hi + r, bounds[m + 1])
-        if b >= a:
-            pieces.append((a, b))
+    bounds = np.asarray(table.partition.bounds)
+    a, b = band_pieces(
+        np.array([q_lo], float), np.array([q_hi], float), np.array([group]), table.r_hat, bounds
+    )
     lo, hi = table.partition.label_domain
     center = median if median is not None else (q_lo + q_hi) / 2.0
     fallback = float(min(max(center, lo), hi))
-    return IntervalSet.from_pieces(pieces, fallback=fallback)
+    return IntervalSet.from_pieces(list(zip(a[:, 0].tolist(), b[:, 0].tolist())), fallback)
 
 
 def union_widths(
@@ -132,18 +142,16 @@ def union_widths(
     r_hat: np.ndarray,
     bounds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized union widths.
+    """Vectorized union widths over :func:`band_pieces`.
 
-    Returns ``(width, has_piece)`` arrays over records; semantics match
-    :func:`predict_interval` exactly (zero-width pieces count as pieces).
+    Returns ``(width, has_piece)`` arrays over records. The width is the
+    sum of the per-bin piece lengths; it can differ from the merged
+    union's :meth:`IntervalSet.total_width` in the last bit.
     """
-    r = r_hat[:, group]  # (M, n)
-    a = np.maximum(q_lo[None, :] - r, bounds[:-1, None])
-    b = np.minimum(q_hi[None, :] + r, bounds[1:, None])
-    length = b - a
+    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+    length = np.subtract(b, a, out=b)
     valid = length >= 0.0
-    width = np.where(valid, length, 0.0).sum(axis=0)
-    return width, valid.any(axis=0)
+    return np.where(valid, length, 0.0).sum(axis=0), valid.any(axis=0)
 
 
 def union_covered(
@@ -155,12 +163,8 @@ def union_covered(
     bounds: np.ndarray,
     fallback: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized membership test mirroring :meth:`IntervalSet.contains`."""
-    r = r_hat[:, group]
-    a = np.maximum(q_lo[None, :] - r, bounds[:-1, None])
-    b = np.minimum(q_hi[None, :] + r, bounds[1:, None])
+    """Vectorized membership over :func:`band_pieces`, as :meth:`IntervalSet.contains`."""
+    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
     valid = b >= a
-    inside = valid & (a <= y[None, :]) & (y[None, :] <= b)
-    covered = inside.any(axis=0)
-    no_piece = ~valid.any(axis=0)
-    return np.where(no_piece, y == fallback, covered)
+    inside = (valid & (a <= y) & (y <= b)).any(axis=0)
+    return np.where(valid.any(axis=0), inside, y == fallback)

@@ -147,6 +147,36 @@ class TestPipeline:
             assert a == b
 
 
+class TestInputHashing:
+    def test_calibrate_hashes_each_input_once(self, pipeline, tmp_path, monkeypatch):
+        from faircov import cli
+
+        hashed = []
+        original = cli._sha256
+
+        def counting(path):
+            hashed.append(os.path.basename(path))
+            return original(path)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        code = main(
+            [
+                "calibrate",
+                "--out-dir", str(tmp_path),
+                "--data", os.path.join(pipeline, "cal.csv"),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--method", "fuq",
+                "--bins", "2",
+            ]
+        )
+        assert code == 0
+        assert sorted(hashed) == ["cal.csv", "calibrator.json", "model.json"]
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        with open(tmp_path / "calibrator.json") as fh:
+            assert json.load(fh)["input_hashes"] == manifest["inputs"]
+
+
 class TestExitCodes:
     def test_unknown_method_exits_one(self, tmp_path, capsys):
         code = main(
@@ -248,6 +278,23 @@ class TestConfigFile:
         cfg.write_text(f"# comment\n\nmethod=cqr\ndata={cal}\nlabel-domain=0,10\n")
         out = str(tmp_path / "commented")
         assert main(["calibrate", "--out-dir", out, "--config", str(cfg)]) == 0
+
+
+    def test_unknown_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("alpah=0.5\n")
+        out = str(tmp_path / "typo")
+        assert main(["simulate", "--out-dir", out, "--n", "40", "--config", str(cfg)]) == 1
+        assert "alpah" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_key_of_another_command_accepted(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("bins=8\njson-errors=1\n")
+        out = str(tmp_path / "shared")
+        assert main(["simulate", "--out-dir", out, "--n", "40", "--config", str(cfg)]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert "bins" not in json.load(fh)["config"]
 
 
 class TestSplitCpArtifact:

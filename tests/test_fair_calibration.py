@@ -13,6 +13,7 @@ from faircov import (
     calibration_objective,
     cqr_calibrate,
     cqr_calibrate_groupwise,
+    cqr_score,
     equal_mass_bins,
     fair_calibrate,
     init_thresholds,
@@ -99,6 +100,60 @@ class TestMeasureCoverage:
         assert covered == [True, False, True, True, False, False]
         total = state.beta * state.cell_counts
         assert int(total.sum()) == sum(covered)
+
+
+class TestSingleScoringPass:
+    @pytest.fixture
+    def score_calls(self, monkeypatch):
+        """Count calls through both bindings of ``conformity_scores``."""
+        from faircov import conformal, fair_calibration
+
+        calls = []
+        original = conformal.conformity_scores
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conformal, "conformity_scores", counting)
+        monkeypatch.setattr(fair_calibration, "conformity_scores", counting)
+        return calls
+
+    def test_fair_calibrate_scores_once(self, score_calls):
+        data, _ = synthetic_with_band(400, (1.0, 3.0), seed=5)
+        fair_calibrate(data, None, 4, 0.1)
+        assert len(score_calls) == 1
+
+    def test_oracle_scores_once(self, score_calls):
+        data = point_band_dataset([(1.0, 2.0, 3.0, 4.0), (0.5, 1.0, 1.5, 2.0)])
+        brute_force_oracle(data, None, equal_mass_bins(data.y, 1, data.label_domain), 0.5)
+        assert len(score_calls) == 1
+
+    def test_state_keeps_its_cell_scores(self, six_record_fixture):
+        data = six_record_fixture
+        part = equal_mass_bins(data.y, 2, data.label_domain)
+        _, state = init_thresholds(data, None, part, 0.1)
+        assert state.cells.partition == part
+        np.testing.assert_array_equal(state.cells.scores, cqr_score(data.q_lo, data.q_hi, data.y))
+        np.testing.assert_array_equal(state.cell_counts, [[2, 1], [1, 2]])
+        np.testing.assert_array_equal(state.cells.cells[0][0], [-0.5, 1.0])
+        np.testing.assert_array_equal(state.cells.cells[1][1], [0.5, 1.0])
+
+    def test_state_from_another_dataset_rejected(self):
+        data, _ = synthetic_with_band(200, (1.0, 3.0), seed=5)
+        other = data.subset(np.arange(150))
+        part = equal_mass_bins(data.y, 2, data.label_domain)
+        table0, _ = init_thresholds(data, None, part, 0.1)
+        _, stale = init_thresholds(other, None, part, 0.1)
+        with pytest.raises(ValidationError, match="state0"):
+            eoc_optimize(data, None, table0, stale, 0.1)
+
+    def test_state_from_another_partition_rejected(self):
+        data, _ = synthetic_with_band(200, (1.0, 3.0), seed=5)
+        table0, _ = init_thresholds(data, None, equal_mass_bins(data.y, 2, data.label_domain), 0.1)
+        _, stale = init_thresholds(data, None, equal_mass_bins(data.y, 3, data.label_domain), 0.1)
+        with pytest.raises(ValidationError, match="state0"):
+            eoc_optimize(data, None, table0, stale, 0.1)
 
 
 class TestSlopes:

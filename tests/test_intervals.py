@@ -13,7 +13,7 @@ from faircov import (
     cqr_score,
     predict_interval,
 )
-from faircov.intervals import contains, total_width, union_covered, union_widths
+from faircov.intervals import band_pieces, union_covered, union_widths
 
 from conftest import synthetic_with_band
 
@@ -36,13 +36,13 @@ class TestPredictInterval:
         iv = predict_interval(4.0, 6.0, 0, t)
         assert iv.components == ((3.0, 5.0),)
         assert iv.fallback_point is None
-        assert total_width(iv) == 2.0
+        assert iv.total_width() == 2.0
 
     def test_touching_pieces_merge(self):
         t = table([[1.0], [1.0]])
         iv = predict_interval(4.0, 6.0, 0, t)
         assert iv.components == ((3.0, 7.0),)
-        assert total_width(iv) == 4.0
+        assert iv.total_width() == 4.0
 
     def test_disjoint_pieces_stay_apart(self):
         # closed pieces touching at the cut merge into one component
@@ -53,7 +53,7 @@ class TestPredictInterval:
         t = table([[0.0], [-3.0], [0.0]], bounds=(0.0, 4.0, 6.0, 10.0))
         iv = predict_interval(3.0, 7.0, 0, t)
         assert iv.components == ((3.0, 4.0), (6.0, 7.0))
-        assert total_width(iv) == 2.0
+        assert iv.total_width() == 2.0
 
     def test_single_bin_matches_clipped_global_shift(self):
         for r in (0.5, 1.0, 5.0, -0.5):
@@ -68,9 +68,9 @@ class TestPredictInterval:
         iv = predict_interval(4.0, 6.0, 0, t, median=4.5)
         assert iv.components == ()
         assert iv.fallback_point == 4.5
-        assert contains(iv, 4.5)
-        assert not contains(iv, 4.4999)
-        assert total_width(iv) == 0.0
+        assert iv.contains(4.5)
+        assert not iv.contains(4.4999)
+        assert iv.total_width() == 0.0
 
     def test_fallback_defaults_to_band_midpoint(self):
         t = table([[-3.0], [-3.0]])
@@ -84,8 +84,8 @@ class TestPredictInterval:
         t = table([[0.0], [0.0]])
         iv = predict_interval(5.0, 5.0, 0, t)
         assert iv.components == ((5.0, 5.0),)
-        assert contains(iv, 5.0)
-        assert total_width(iv) == 0.0
+        assert iv.contains(5.0)
+        assert iv.total_width() == 0.0
 
     def test_group_column_selected(self):
         t = table([[1.0, -3.0], [-3.0, 1.0]])
@@ -105,9 +105,9 @@ class TestPredictInterval:
         small = predict_interval(4.0, 6.0, 0, table([[0.25], [-0.5]]))
         large = predict_interval(4.0, 6.0, 0, table([[1.0], [0.0]]))
         for y in grid:
-            if contains(small, y):
-                assert contains(large, y)
-        assert total_width(large) >= total_width(small)
+            if small.contains(y):
+                assert large.contains(y)
+        assert large.total_width() >= small.total_width()
 
     dyadic = st.integers(0, 80).map(lambda k: k / 8.0)
 
@@ -120,10 +120,22 @@ class TestPredictInterval:
         r = r1 if y < 5.0 else r2
         score_ok = cqr_score(q_lo, q_hi, y) <= r
         if iv.components:
-            assert contains(iv, y) == score_ok
+            assert iv.contains(y) == score_ok
         else:
             assert not score_ok
-            assert contains(iv, y) == (y == iv.fallback_point)
+            assert iv.contains(y) == (y == iv.fallback_point)
+
+
+class TestBandPieces:
+    def test_clipped_pieces_per_bin_and_record(self):
+        r_hat = np.array([[1.0, -3.0], [-3.0, 1.0]])
+        a, b = band_pieces(
+            np.array([4.0, 4.0]), np.array([6.0, 6.0]), np.array([0, 1]), r_hat, np.array([0.0, 5.0, 10.0])
+        )
+        # rows are bins, columns records; b < a marks an empty piece
+        np.testing.assert_array_equal(a, [[3.0, 7.0], [7.0, 5.0]])
+        np.testing.assert_array_equal(b, [[5.0, 3.0], [3.0, 7.0]])
+        np.testing.assert_array_equal(r_hat, [[1.0, -3.0], [-3.0, 1.0]])
 
 
 class TestIntervalSet:
@@ -176,6 +188,6 @@ class TestVectorizedAgreement:
                 iv = predict_interval(
                     float(data.q_lo[i]), float(data.q_hi[i]), int(data.group[i]), t
                 )
-                assert covered[i] == contains(iv, float(data.y[i]))
+                assert covered[i] == iv.contains(float(data.y[i]))
                 assert has_piece[i] == bool(iv.components)
-                np.testing.assert_allclose(widths[i], total_width(iv), rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(widths[i], iv.total_width(), rtol=1e-12, atol=0.0)
