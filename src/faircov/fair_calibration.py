@@ -15,9 +15,12 @@ is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
 width-bounded.
 
-A calibration scores its calibration set once, into a :class:`CellScores`
-(scores, bins, sorted cell scores, counts) that the global seed shift,
-the seed :class:`CoverageState` and :func:`eoc_optimize` all share.
+A :class:`CellScores` holds one conformity-score pass over a calibration
+set (scores, bins, sorted cell scores, counts). A calibration makes three
+such passes: :func:`init_thresholds` seeds the global shift with
+``cqr_calibrate`` and measures the seed :class:`CoverageState`, and
+:func:`eoc_optimize` scores the set again when there are groups to
+trade. The oracle and ``cqr_calibrate_groupwise`` score once.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinPartition, bin_indices, equal_mass_bins
-from .conformal import band_columns, conformity_scores, empirical_quantile
-from .conformal import cqr_calibrate  # noqa: F401 - bench/tracing.py rebinds this name
+from .conformal import band_columns, conformity_scores, cqr_calibrate, empirical_quantile
 from .core import Dataset, EmptyCellError, ValidationError
 from .intervals import band_pieces, union_widths
 from .quantile_model import QuantileModel
@@ -221,13 +223,8 @@ def measure_coverage(cal: Dataset, model: QuantileModel | None, table: Threshold
 def init_thresholds(
     cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
 ) -> tuple[ThresholdTable, CoverageState]:
-    """Seed every cell with the global calibrated shift.
-
-    The global shift is the conformal quantile of the same scores the
-    seed state is measured on, so the calibration set is scored once.
-    """
-    cells = CellScores.measure(cal, model, partition, alpha)
-    global_r_hat = empirical_quantile(cells.scores, 1.0 - alpha)
+    """Seed every cell with the global calibrated shift."""
+    global_r_hat = cqr_calibrate(cal, model, alpha).r_hat
     table = ThresholdTable(
         r_hat=np.full((partition.m, cal.group_count), global_r_hat),
         global_r_hat=global_r_hat,
@@ -235,7 +232,7 @@ def init_thresholds(
         partition=partition,
         group_count=cal.group_count,
     )
-    return table, cells.coverage(table.r_hat)
+    return table, measure_coverage(cal, model, table)
 
 
 def _covered_count(cell: np.ndarray, threshold: float) -> int:
@@ -335,12 +332,11 @@ def eoc_optimize(
     post-move group means, so every group stays inside its parking
     window and the covered count never falls below its floor.
 
-    The cell scores are those ``state0`` was measured on; a ``state0``
-    of another calibration set or partition raises ValidationError.
-    With a single group the input table is returned unchanged.
+    A ``state0`` of another calibration set or partition raises
+    ValidationError. With a single group the input table is returned
+    unchanged.
     """
-    cell_scores = state0.cells
-    if cell_scores.partition != table0.partition or int(cell_scores.counts.sum()) != cal.n:
+    if state0.cells.partition != table0.partition or int(state0.cell_counts.sum()) != cal.n:
         raise ValidationError("state0 was measured on another calibration set or partition")
     if max_iters is None:
         max_iters = 10 * cal.n
@@ -353,6 +349,7 @@ def eoc_optimize(
     if s_groups == 1:
         return table0, OptimizerTrace(init_means, (), CONVERGED)
 
+    cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
     cells, counts = cell_scores.cells, cell_scores.counts
     thr = np.array(table0.r_hat, dtype=np.float64)
     k = np.zeros((m_bins, s_groups), dtype=np.int64)
