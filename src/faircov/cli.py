@@ -255,9 +255,8 @@ def cmd_calibrate(o) -> Step:
 
 def _write_predictions(path, test, model, calibrator) -> None:
     """One row per test record; ``width`` is the merged union's width."""
-    q_lo, q_hi, partition, r_hat, point, _ = _resolve_band(test, model, calibrator)
+    q_lo, q_hi, partition, r_hat, _, fallback, _ = _resolve_band(test, model, calibrator)
     a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
-    fallback = np.clip(point, *partition.label_domain)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "group", "components", "fallback", "covered", "width"])

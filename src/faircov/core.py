@@ -298,16 +298,16 @@ def write_dataset(dataset: Dataset, path: str) -> None:
     if dataset.q_lo is not None:
         header += ["q_lo", "q_hi"]
     header += [f"x{j}" for j in range(dataset.feature_dim)]
+    # columns as Python floats and ints: repr of each is the text of the numpy value
+    columns = [dataset.ids, map(repr, dataset.y.tolist()), dataset.group.tolist()]
+    if dataset.q_lo is not None:
+        columns += [map(repr, dataset.q_lo.tolist()), map(repr, dataset.q_hi.tolist())]
+    if dataset.features is not None:
+        columns += [map(repr, col) for col in dataset.features.T.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(dataset.n):
-            row: list[str] = [dataset.ids[i], repr(float(dataset.y[i])), str(int(dataset.group[i]))]
-            if dataset.q_lo is not None:
-                row += [repr(float(dataset.q_lo[i])), repr(float(dataset.q_hi[i]))]
-            if dataset.features is not None:
-                row += [repr(float(v)) for v in dataset.features[i]]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

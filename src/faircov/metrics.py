@@ -110,7 +110,12 @@ class EvalReport:
 
 
 def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
-    """Band columns, per-(bin, group) shifts, and the point prediction."""
+    """Band columns, per-(bin, group) shifts, the point prediction and the fallback.
+
+    The fallback is the point clipped to the partition's label domain, the
+    range the shifts were calibrated on; ``evaluate`` and the predictions
+    writer both use it, so their coverage agrees.
+    """
     if isinstance(calibrator, ThresholdTable):
         q_lo, q_hi, med = band_columns(test, model, calibrator.alpha)
         partition = calibrator.partition
@@ -135,7 +140,8 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
         point, source = med, "median"
     else:
         point, source = (q_lo + q_hi) / 2.0, "band_midpoint"
-    return q_lo, q_hi, partition, r_hat, point, source
+    fallback = np.clip(point, *partition.label_domain)
+    return q_lo, q_hi, partition, r_hat, point, fallback, source
 
 
 def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalReport:
@@ -147,12 +153,11 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalRepo
     predictions come from the model median when available, otherwise the
     midpoint of the raw band.
     """
-    q_lo, q_hi, partition, r_hat, point, point_source = _resolve_band(
+    q_lo, q_hi, partition, r_hat, point, fallback, point_source = _resolve_band(
         test, model, calibrator
     )
     alpha = calibrator.alpha
     bounds = np.asarray(partition.bounds)
-    fallback = np.clip(point, test.label_domain[0], test.label_domain[1])
     width, has_piece = union_widths(q_lo, q_hi, test.group, r_hat, bounds)
     covered = union_covered(q_lo, q_hi, test.y, test.group, r_hat, bounds, fallback)
 

@@ -3,8 +3,11 @@
 The model predicts one value per requested quantile level from a shared
 feature vector. Training is deterministic full-batch subgradient descent
 with step-halving backtracking, so the recorded epoch loss never
-increases. Quantile crossing is repaired at prediction time by sorting
-the per-level outputs (monotone rearrangement).
+increases. The epoch loop allocates its ``(n, levels)`` buffers once and
+runs no ``where``; every float it produces is bit-identical to the plain
+formulation (fresh arrays each epoch, branches by ``np.where``), which the
+tests keep as a reference. Quantile crossing is repaired at prediction
+time by sorting the per-level outputs (monotone rearrangement).
 
 Also hosts the synthetic data generator used by the command line tools
 and the test harness: a linear signal plus group-dependent noise, clipped
@@ -187,12 +190,6 @@ def predict(model: QuantileModel, features: np.ndarray) -> np.ndarray:
     return model.predict_many(x[None, :])[0]
 
 
-def _mean_pinball(y: np.ndarray, preds: np.ndarray, levels: np.ndarray) -> float:
-    resid = y[:, None] - preds
-    per = np.where(resid >= 0.0, levels[None, :] * resid, (levels[None, :] - 1.0) * resid)
-    return float(per.mean())
-
-
 def fit(
     train: Dataset,
     levels: QuantileLevels,
@@ -224,25 +221,51 @@ def fit(
     sd = np.where(sd > 0, sd, 1.0)
     xs = (x - mu) / sd if d else x
 
-    w = np.zeros((len(levels), d))
-    b = np.quantile(y, qs) if n else np.zeros(len(levels))
+    k = len(levels)
+    w = np.zeros((k, d))
+    b = np.quantile(y, qs) if n else np.zeros(k)
+    # The (n, k) buffers of every epoch, allocated once. ``resid`` holds the
+    # residuals, then the per-record losses, then the gradient's running
+    # column sums; ``coef`` holds the loss coefficient of each residual.
+    tiled_qs = np.tile(qs, (n, 1))
+    resid = np.empty((n, k))
+    below = np.empty((n, k), dtype=bool)
+    coef = np.empty((n, k))
+
+    def mean_pinball(w: np.ndarray, b: np.ndarray) -> float:
+        np.matmul(xs, w.T, out=resid)
+        for j in range(k):  # column by column: a broadcast would loop over the k levels
+            col = resid[:, j]
+            col += b[j]
+            np.subtract(y, col, out=col)
+        # q where the residual is >= 0 and q - 1 below: the factor the
+        # pinball loss applies, so each loss is that one product, bit for bit
+        np.less(resid, 0.0, out=below)
+        np.subtract(tiled_qs, below, out=coef)
+        return float(np.multiply(coef, resid, out=resid).mean())
+
+    def subgradient() -> tuple[np.ndarray, np.ndarray]:
+        """(gw, gb) at the point ``mean_pinball`` last saw; overwrites its buffers."""
+        g = np.negative(coef, out=coef)  # -q where y >= preds, 1 - q elsewhere
+        # a sequential column sum adds in the order ``g.mean(axis=0)`` does;
+        # an empty set has no last row, and its NaN loss diverges at epoch 1
+        sums = np.cumsum(g, axis=0, out=resid)[-1] if n else np.zeros(k)
+        return (g.T @ xs) / n, sums / n
+
     step = float(lr)
-    preds = xs @ w.T + b
-    loss = _mean_pinball(y, preds, qs)
+    loss = mean_pinball(w, b)
+    gw, gb = subgradient()
     trace = [loss]
     for epoch in range(1, epochs + 1):
-        g = np.where(y[:, None] >= preds, -qs[None, :], 1.0 - qs[None, :])
-        gw = (g.T @ xs) / n
-        gb = g.mean(axis=0)
         w_new = w - step * gw
         b_new = b - step * gb
-        preds_new = xs @ w_new.T + b_new
-        loss_new = _mean_pinball(y, preds_new, qs)
+        loss_new = mean_pinball(w_new, b_new)
         if not np.isfinite(loss_new):
             raise DivergenceError(epoch)
         if loss_new <= loss + _LOSS_TOL:
-            w, b, preds, loss = w_new, b_new, preds_new, loss_new
-        else:
+            w, b, loss = w_new, b_new, loss_new
+            gw, gb = subgradient()
+        else:  # the state stays, and so does its subgradient
             step *= 0.5
             if step < _MIN_LR:
                 trace.append(loss)

@@ -1,5 +1,6 @@
 """Dataset container, CSV round-trip, and split behavior."""
 
+import csv
 import importlib
 import pkgutil
 
@@ -134,6 +135,34 @@ class TestRoundTrip:
         np.testing.assert_array_equal(d2.y, d.y)
         np.testing.assert_array_equal(d2.q_lo, d.q_lo)
         np.testing.assert_array_equal(d2.q_hi, d.q_hi)
+
+    @staticmethod
+    def write_rows(dataset, path):
+        """Row-by-row reference writer over numpy scalars."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            header = ["id", "y", "group"]
+            header += ["q_lo", "q_hi"] if dataset.q_lo is not None else []
+            writer.writerow(header + [f"x{j}" for j in range(dataset.feature_dim)])
+            for i in range(dataset.n):
+                row = [dataset.ids[i], repr(float(dataset.y[i])), str(int(dataset.group[i]))]
+                if dataset.q_lo is not None:
+                    row += [repr(float(dataset.q_lo[i])), repr(float(dataset.q_hi[i]))]
+                if dataset.features is not None:
+                    row += [repr(float(v)) for v in dataset.features[i]]
+                writer.writerow(row)
+
+    @pytest.mark.parametrize("bands", [False, True])
+    @pytest.mark.parametrize("feature_dim", [None, 0, 3])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, bands, feature_dim):
+        rng = np.random.default_rng(5)
+        y = np.concatenate([[0.1 + 0.2, 1.0 / 3.0, 0.0, 10.0, 5e-324], rng.uniform(0, 10, 45)])
+        features = None if feature_dim is None else rng.normal(size=(50, feature_dim)) * 1e-7
+        q = (y - 1.5, y + 1e-17) if bands else (None, None)
+        d = make_dataset(y, rng.integers(0, 3, 50), *q, features=features)
+        write_dataset(d, str(tmp_path / "got.csv"))
+        self.write_rows(d, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSplitDataset:

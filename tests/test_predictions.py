@@ -21,6 +21,7 @@ from faircov.binning import BinPartition
 from faircov.cli import _write_predictions
 from faircov.conformal import band_columns
 from faircov.intervals import union_covered, union_widths
+from faircov.metrics import evaluate
 
 from conftest import make_dataset
 
@@ -199,3 +200,18 @@ def test_vector_views_match_per_record_sets(case):
         assert bool(covered[i]) == ref.contains(float(y[i]))
         assert bool(has_piece[i]) == bool(ref.components)
         np.testing.assert_allclose(width[i], ref.total_width(), rtol=1e-12, atol=0.0)
+
+
+def test_report_and_writer_clip_the_fallback_to_the_calibration_domain(tmp_path):
+    # a table calibrated on [0, 10] with every piece empty, scored on a test
+    # file read with the narrower domain [0, 8]: the fallback is the band
+    # midpoint 9.0, which misses y = 8 in both artifacts
+    test = make_dataset([8.0], [0], q_lo=[8.5], q_hi=[9.5], domain=(0.0, 8.0), group_count=2)
+    calibrator = CALIBRATORS["all_empty"]
+    path = tmp_path / "predictions.csv"
+    _write_predictions(str(path), test, None, calibrator)
+    with open(path, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    report = evaluate(test, None, calibrator)
+    assert (row["fallback"], row["covered"]) == ("9.0", "0")
+    assert report.covered_total == 0

@@ -17,6 +17,7 @@ from faircov import (
     pinball_loss,
     predict,
 )
+from faircov import quantile_model
 
 from conftest import make_dataset
 
@@ -156,6 +157,134 @@ class TestFit:
         d = make_dataset([1.0, 2.0], [0, 0])
         with pytest.raises(ValidationError, match="feature"):
             fit(d, QuantileLevels.for_alpha(0.1))
+
+
+def _reference_mean_pinball(y, preds, levels):
+    resid = y[:, None] - preds
+    per = np.where(resid >= 0.0, levels[None, :] * resid, (levels[None, :] - 1.0) * resid)
+    return float(per.mean())
+
+
+def _reference_fit(train, levels, lr=0.1, epochs=400, seed=0):
+    """The plain epoch loop: fresh arrays each epoch, ``where`` for branches."""
+    y = train.y
+    x = train.features
+    n, d = x.shape
+    qs = np.asarray(levels.levels, dtype=np.float64)
+    mu = x.mean(axis=0) if d else np.zeros(0)
+    sd = x.std(axis=0) if d else np.zeros(0)
+    sd = np.where(sd > 0, sd, 1.0)
+    xs = (x - mu) / sd if d else x
+
+    w = np.zeros((len(levels), d))
+    b = np.quantile(y, qs) if n else np.zeros(len(levels))
+    step = float(lr)
+    preds = xs @ w.T + b
+    loss = _reference_mean_pinball(y, preds, qs)
+    trace = [loss]
+    for epoch in range(1, epochs + 1):
+        g = np.where(y[:, None] >= preds, -qs[None, :], 1.0 - qs[None, :])
+        gw = (g.T @ xs) / n
+        gb = g.mean(axis=0)
+        w_new = w - step * gw
+        b_new = b - step * gb
+        preds_new = xs @ w_new.T + b_new
+        loss_new = _reference_mean_pinball(y, preds_new, qs)
+        if not np.isfinite(loss_new):
+            raise DivergenceError(epoch)
+        if loss_new <= loss + quantile_model._LOSS_TOL:
+            w, b, preds, loss = w_new, b_new, preds_new, loss_new
+        else:
+            step *= 0.5
+            if step < quantile_model._MIN_LR:
+                trace.append(loss)
+                break
+        trace.append(loss)
+
+    w_raw = w / sd if d else w
+    b_raw = b - (w_raw @ mu if d else 0.0)
+    return QuantileModel(
+        weights=w_raw, bias=b_raw, levels=levels, seed=seed, loss_trace=tuple(trace)
+    )
+
+
+class TestFitMatchesReference:
+    """``fit``'s buffered loop writes the same model.json as the plain loop."""
+
+    def assert_same(self, data, levels=None, **kwargs):
+        levels = levels or QuantileLevels.for_alpha(0.1)
+        got = fit(data, levels, **kwargs)
+        assert got.to_json() == _reference_fit(data, levels, **kwargs).to_json()
+        return got.loss_trace
+
+    def test_pipeline_shaped_training_split(self):
+        spec = SyntheticSpec(
+            n=5000,
+            group_probs=(0.25, 0.25, 0.25, 0.25),
+            feature_dim=3,
+            noise_scale_per_group=(1.0, 2.0, 3.0, 4.0),
+            label_domain=(0.0, 63.0),
+            seed=7,
+        )
+        self.assert_same(generate_synthetic(spec), seed=7)
+
+    def test_no_features(self):
+        rng = np.random.default_rng(20)
+        data = make_dataset(rng.uniform(0.0, 10.0, 300), [0] * 300, features=np.zeros((300, 0)))
+        self.assert_same(data, epochs=50)
+
+    def test_constant_labels(self):
+        rng = np.random.default_rng(21)
+        data = make_dataset(np.full(200, 4.0), [0] * 200, features=rng.normal(size=(200, 2)))
+        self.assert_same(data, epochs=300)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_training_sets(self, n):
+        rng = np.random.default_rng(22)
+        data = make_dataset(rng.uniform(0.0, 10.0, n), [0] * n, features=rng.normal(size=(n, 2)))
+        self.assert_same(data, epochs=100)
+
+    def test_full_grid(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(1000, 3))
+        y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=1000), 0.0, 10.0)
+        self.assert_same(make_dataset(y, [0] * 1000, features=x), QuantileLevels.full_grid(), epochs=100)
+
+    def test_rejected_steps(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(1000, 3))
+        y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=1000), 0.0, 10.0)
+        trace = self.assert_same(make_dataset(y, [0] * 1000, features=x), lr=50.0, epochs=200)
+        assert np.any(np.diff(trace) == 0.0)  # some epochs kept their state
+
+    def test_step_size_floor_ends_the_fit(self):
+        # far more features than records, one record scaled up: every step
+        # raises the loss, so each epoch halves it until it drops below the floor
+        x = np.random.default_rng(25).normal(size=(6, 5000))
+        x[0] *= 50.0
+        data = make_dataset([2.0, 2.0, 0.0, 0.0, 2.0, 2.0], [0] * 6, features=x)
+        trace = self.assert_same(data, epochs=100)
+        assert len(trace) < 101
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_at_the_same_epoch(self):
+        rng = np.random.default_rng(26)
+        data = make_dataset(rng.uniform(0.0, 10.0, 50), [0] * 50, features=rng.normal(size=(50, 3)))
+        levels = QuantileLevels.for_alpha(0.1)
+        with pytest.raises(DivergenceError) as got:
+            fit(data, levels, lr=1e308, epochs=5)
+        with pytest.raises(DivergenceError) as want:
+            _reference_fit(data, levels, lr=1e308, epochs=5)
+        assert got.value.epoch == want.value.epoch
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_empty_training_set_diverges_at_epoch_1(self):
+        data = make_dataset([], [], features=np.zeros((0, 2)))
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            fit(data, QuantileLevels.for_alpha(0.1))
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            _reference_fit(data, QuantileLevels.for_alpha(0.1))
 
 
 class TestGenerateSynthetic:
