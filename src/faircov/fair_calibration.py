@@ -13,7 +13,8 @@ scores it covers, so during optimization thresholds are re-expressed on
 the cell score order statistics; moving to the adjacent order statistic
 is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
-width-bounded.
+width-bounded. Every move is picked from two (M, S) slope tables, which
+a move refreshes only for the cells it changes.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
 set (scores, bins, sorted cell scores, counts). A calibration makes three
@@ -87,12 +88,10 @@ class ThresholdTable:
     def to_payload(self, extras: dict | None = None) -> dict:
         payload = {
             "alpha": self.alpha,
-            "M": self.partition.m,
             "S": self.group_count,
-            "bounds": list(self.partition.bounds),
-            "counts": list(self.partition.counts),
             "global_r_hat": self.global_r_hat,
             "r_hat": [[float(v) for v in row] for row in self.r_hat],
+            **self.partition.to_payload(),
         }
         if extras:
             payload.update(extras)
@@ -100,14 +99,11 @@ class ThresholdTable:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ThresholdTable":
-        partition = BinPartition(
-            bounds=tuple(payload["bounds"]), counts=tuple(payload["counts"])
-        )
         return cls(
             r_hat=np.asarray(payload["r_hat"], dtype=np.float64),
             global_r_hat=float(payload["global_r_hat"]),
             alpha=float(payload["alpha"]),
-            partition=partition,
+            partition=BinPartition.from_payload(payload),
             group_count=int(payload["S"]),
         )
 
@@ -323,7 +319,12 @@ def eoc_optimize(
 
     Before iterating, every threshold is re-expressed on the covering
     order statistic of its cell, which releases pure slack as width
-    without touching coverage. After the loop converges, a width cleanup
+    without touching coverage. Every phase then picks its moves from two
+    ``(M, S)`` slope tables: the width saved by dropping each cell's top
+    covered sample (``-inf`` where fewer than two are covered) and the
+    width paid by covering its next one (``+inf`` where the cell is
+    full), refreshed only for the cells a move changes. Ties go to the
+    first cell in bin-major order. After the loop converges, a width cleanup
     alternates two greedy passes until neither moves: a trim pass sheds
     covered records the floors do not need, widest spacing first, and a
     descent pass trades one covered sample between any two cells while
@@ -353,6 +354,14 @@ def eoc_optimize(
     cells, counts = cell_scores.cells, cell_scores.counts
     thr = np.array(table0.r_hat, dtype=np.float64)
     k = np.zeros((m_bins, s_groups), dtype=np.int64)
+    dec = np.empty((m_bins, s_groups))  # the slope tables
+    inc = np.empty((m_bins, s_groups))
+
+    def refresh(m: int, s: int) -> None:
+        cell, km = cells[m][s], int(k[m, s])
+        dec[m, s] = _dec_slope(cell, km) if km >= 2 else -np.inf
+        inc[m, s] = _inc_slope(cell, km, float(thr[m, s])) if km < cell.size else np.inf
+
     # Re-express thresholds on the covering order statistic of each cell.
     # Coverage is unchanged, pure threshold slack is released as width,
     # and every later move lands exactly on an adjacent order statistic.
@@ -362,6 +371,7 @@ def eoc_optimize(
             k[m, s] = _covered_count(cells[m][s], thr[m, s])
             if k[m, s] >= 1:
                 thr[m, s] = cells[m][s][k[m, s] - 1]
+            refresh(m, s)
 
     band = 1.0 / counts.min(axis=0)  # documented tolerance per group
     # Park each group in the one-sided window [target, target + stop],
@@ -377,6 +387,7 @@ def eoc_optimize(
     level = target
     stop = band / m_bins
     cell_weight = 1.0 / (m_bins * s_groups)
+    quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
 
     def group_means() -> np.ndarray:
         return (k / counts).mean(axis=0)
@@ -390,6 +401,7 @@ def eoc_optimize(
             return False
         thr[m, s] = new_thr
         k[m, s] = _covered_count(cells[m][s], new_thr)
+        refresh(m, s)
         return True
 
     iterations: list[IterationRecord] = []
@@ -424,24 +436,15 @@ def eoc_optimize(
         else:
             s1, s2 = -1, int(np.argmin(mu))  # every group at or below window
 
-        best_dec, m1 = -np.inf, -1
+        m1 = m2 = -1
         if s1 >= 0:
-            for m in range(m_bins):
-                if k[m, s1] >= 2:
-                    slope = _dec_slope(cells[m][s1], int(k[m, s1]))
-                    if slope > best_dec:
-                        best_dec, m1 = slope, m
-            if m1 < 0:
+            m1 = int(np.argmax(dec[:, s1]))
+            if dec[m1, s1] == -np.inf:
                 reason = SLOPE_CROSSOVER  # donor has nothing left to give
                 break
-        best_inc, m2 = np.inf, -1
         if s2 >= 0:
-            for m in range(m_bins):
-                if k[m, s2] < counts[m, s2]:
-                    slope = _inc_slope(cells[m][s2], int(k[m, s2]), float(thr[m, s2]))
-                    if slope < best_inc:
-                        best_inc, m2 = slope, m
-            if m2 < 0:
+            m2 = int(np.argmin(inc[:, s2]))
+            if inc[m2, s2] == np.inf:
                 reason = SLOPE_CROSSOVER  # recipient is fully covered everywhere
                 break
         if s1 >= 0 and s2 < 0:
@@ -451,12 +454,14 @@ def eoc_optimize(
                 reason = SLOPE_CROSSOVER
                 break
 
+        d_slope = dec[m1, s1] if s1 >= 0 else np.nan
+        i_slope = inc[m2, s2] if s2 >= 0 else np.nan
         moved = s1 >= 0 and shift(m1, s1, -1)
         moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
         if not moved:
             reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
             break
-        record(s1, s2, m1, m2, best_dec if s1 >= 0 else np.nan, best_inc if s2 >= 0 else np.nan)
+        record(s1, s2, m1, m2, d_slope, i_slope)
     if reason is None:
         reason = MAX_ITERS
 
@@ -471,66 +476,41 @@ def eoc_optimize(
         # same-group rebalance is allowed even when its drop alone would
         # dip below the target. Stops at the slope crossover, where no
         # exchange pays for itself.
+        cell_group = np.tile(np.arange(s_groups), m_bins)  # group of each raveled cell
+        same_group = cell_group[:, None] == cell_group[None, :]
+        ceiling = (level + stop + eps)[cell_group]
         progress = True
         while progress and len(iterations) < max_iters:
             progress = False
 
             while int(k.sum()) > k_floor and len(iterations) < max_iters:
-                mu = group_means()
-                best = None
-                for m in range(m_bins):
-                    for s in range(s_groups):
-                        if (
-                            k[m, s] >= 2
-                            and mu[s] - cell_weight * s_groups / counts[m, s]
-                            >= level - eps
-                        ):
-                            slope = _dec_slope(cells[m][s], int(k[m, s]))
-                            if best is None or slope > best[0]:
-                                best = (slope, m, s)
-                if best is None:
+                gain = np.where(group_means() - quantum >= level - eps, dec, -np.inf)
+                m1, s1 = divmod(int(np.argmax(gain)), s_groups)
+                if gain[m1, s1] == -np.inf:
                     break
-                d_slope, m1, s1 = best
+                d_slope = dec[m1, s1]
                 shift(m1, s1, -1)
                 progress = True
                 record(s1, -1, m1, 0, d_slope, np.nan)
 
             while len(iterations) < max_iters:
+                # rows: the donor cell, columns: the recipient cell
                 mu = group_means()
-                decs = [
-                    (_dec_slope(cells[m][s], int(k[m, s])), m, s)
-                    for m in range(m_bins)
-                    for s in range(s_groups)
-                    if k[m, s] >= 2
-                ]
-                incs = [
-                    (_inc_slope(cells[m][s], int(k[m, s]), float(thr[m, s])), m, s)
-                    for m in range(m_bins)
-                    for s in range(s_groups)
-                    if k[m, s] < counts[m, s]
-                ]
-                best_gain = 0.0
-                move = None
-                for d_slope, m1, s1 in decs:
-                    for i_slope, m2, s2 in incs:
-                        if (m1, s1) == (m2, s2) or d_slope - i_slope <= best_gain:
-                            continue
-                        mu1 = mu[s1] - cell_weight * s_groups / counts[m1, s1]
-                        mu2 = mu[s2] + cell_weight * s_groups / counts[m2, s2]
-                        if s1 == s2:
-                            post = mu1 + cell_weight * s_groups / counts[m2, s2]
-                            ok = level - eps <= post <= level + stop[s1] + eps
-                        else:
-                            ok = (
-                                mu1 >= level - eps
-                                and mu2 <= level + stop[s2] + eps
-                            )
-                        if ok:
-                            best_gain = d_slope - i_slope
-                            move = (m1, s1, m2, s2, d_slope, i_slope)
-                if move is None:
+                mu1 = (mu - quantum).ravel()[:, None]
+                mu2 = (mu + quantum).ravel()[None, :]
+                post = mu1 + quantum.ravel()[None, :]
+                ok = np.where(
+                    same_group,
+                    (level - eps <= post) & (post <= ceiling[:, None]),
+                    (mu1 >= level - eps) & (mu2 <= ceiling[None, :]),
+                )
+                gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
+                np.fill_diagonal(gain, -np.inf)
+                a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
+                if gain[a, b] <= 0.0:
                     break
-                m1, s1, m2, s2, d_slope, i_slope = move
+                (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
+                d_slope, i_slope = dec[m1, s1], inc[m2, s2]
                 shift(m1, s1, -1)
                 shift(m2, s2, 1)
                 progress = True

@@ -2,12 +2,14 @@
 
 The model predicts one value per requested quantile level from a shared
 feature vector. Training is deterministic full-batch subgradient descent
-with step-halving backtracking, so the recorded epoch loss never
-increases. The epoch loop allocates its ``(n, levels)`` buffers once and
-runs no ``where``; every float it produces is bit-identical to the plain
-formulation (fresh arrays each epoch, branches by ``np.where``), which the
-tests keep as a reference. Quantile crossing is repaired at prediction
-time by sorting the per-level outputs (monotone rearrangement).
+with step-halving backtracking: a step that would raise the epoch loss
+by more than ``_LOSS_TOL`` (1e-12) is reverted and the step size halved,
+so the recorded loss rises by at most that much per epoch. The epoch
+loop allocates its ``(n, levels)`` buffers once and runs no ``where``;
+every float it produces is bit-identical to the plain formulation (fresh
+arrays each epoch, branches by ``np.where``), which the tests keep as a
+reference. Quantile crossing is repaired at prediction time by sorting
+the per-level outputs (monotone rearrangement).
 
 Also hosts the synthetic data generator used by the command line tools
 and the test harness: a linear signal plus group-dependent noise, clipped
@@ -202,9 +204,10 @@ def fit(
     Biases start at the empirical label quantiles and weights at zero.
     Features are standardized internally for conditioning; the returned
     coefficients are in raw feature space. A step that would raise the
-    epoch loss is reverted and the step size halved, so ``loss_trace`` is
-    non-increasing. ``seed`` is recorded in the artifact for provenance;
-    the procedure itself is deterministic.
+    epoch loss by more than ``_LOSS_TOL`` (1e-12) is reverted and the step
+    size halved, so ``loss_trace`` rises by at most that much per epoch.
+    ``seed`` is recorded in the artifact for provenance; the procedure
+    itself is deterministic.
     """
     if lr <= 0:
         raise ValidationError(f"learning rate must be positive, got {lr}")
@@ -212,6 +215,8 @@ def fit(
         raise ValidationError(f"epoch count must be at least 1, got {epochs}")
     if train.features is None:
         raise ValidationError("training dataset must carry feature columns")
+    if train.n == 0:
+        raise ValidationError("training dataset is empty")
     y = train.y
     x = train.features
     n, d = x.shape
@@ -223,7 +228,7 @@ def fit(
 
     k = len(levels)
     w = np.zeros((k, d))
-    b = np.quantile(y, qs) if n else np.zeros(k)
+    b = np.quantile(y, qs)
     # The (n, k) buffers of every epoch, allocated once. ``resid`` holds the
     # residuals, then the per-record losses, then the gradient's running
     # column sums; ``coef`` holds the loss coefficient of each residual.
@@ -247,9 +252,8 @@ def fit(
     def subgradient() -> tuple[np.ndarray, np.ndarray]:
         """(gw, gb) at the point ``mean_pinball`` last saw; overwrites its buffers."""
         g = np.negative(coef, out=coef)  # -q where y >= preds, 1 - q elsewhere
-        # a sequential column sum adds in the order ``g.mean(axis=0)`` does;
-        # an empty set has no last row, and its NaN loss diverges at epoch 1
-        sums = np.cumsum(g, axis=0, out=resid)[-1] if n else np.zeros(k)
+        # a sequential column sum adds in the order ``g.mean(axis=0)`` does
+        sums = np.cumsum(g, axis=0, out=resid)[-1]
         return (g.T @ xs) / n, sums / n
 
     step = float(lr)

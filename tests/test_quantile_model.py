@@ -1,5 +1,7 @@
 """Pinball loss and gradient, model fitting, and synthetic data."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -142,7 +144,15 @@ class TestFit:
         d = make_dataset(y, [0] * 300, features=x)
         m = fit(d, QuantileLevels.for_alpha(0.1), epochs=200)
         trace = np.asarray(m.loss_trace)
-        assert np.all(np.diff(trace) <= 1e-6)
+        assert np.all(np.diff(trace) <= quantile_model._LOSS_TOL)
+
+    def test_loss_trace_may_rise_within_tolerance(self):
+        # an accepted step may raise the loss by rounding noise below _LOSS_TOL
+        y = np.array([5.0] * 8 + [3.0, 7.0])
+        d = make_dataset(y, [0] * 10, features=np.arange(10.0)[:, None])
+        trace = np.diff(fit(d, QuantileLevels((0.5,)), epochs=200).loss_trace)
+        assert trace.max() > 0.0
+        assert trace.max() <= quantile_model._LOSS_TOL
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_reported_with_epoch(self):
@@ -278,12 +288,15 @@ class TestFitMatchesReference:
             _reference_fit(data, levels, lr=1e308, epochs=5)
         assert got.value.epoch == want.value.epoch
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_empty_training_set_diverges_at_epoch_1(self):
+        # fit rejects the empty set up front, before numpy sees it; the
+        # plain loop only fails on its NaN loss
         data = make_dataset([], [], features=np.zeros((0, 2)))
-        with pytest.raises(DivergenceError, match="epoch 1"):
-            fit(data, QuantileLevels.for_alpha(0.1))
-        with pytest.raises(DivergenceError, match="epoch 1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="training dataset is empty"):
+                fit(data, QuantileLevels.for_alpha(0.1))
+        with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError, match="epoch 1"):
             _reference_fit(data, QuantileLevels.for_alpha(0.1))
 
 
