@@ -188,9 +188,9 @@ def _load_model(path: str | None) -> QuantileModel | None:
     return _load_artifact(path, "model", QuantileModel.from_json) if path else None
 
 
-def _load_data(o, path: str):
+def _load_data(o, path: str, group_count: int | None = None):
     schema = {"group": o.attribute_col} if o.attribute_col else None
-    return load_dataset(path, o.label_domain, schema=schema)
+    return load_dataset(path, o.label_domain, schema=schema, group_count=group_count)
 
 
 def _write_text(o, name: str, text: str) -> None:
@@ -276,9 +276,11 @@ def _write_predictions(path, test, model, calibrator) -> None:
 
 
 def cmd_evaluate(o) -> Step:
-    test = _load_data(o, o.data)
-    model = _load_model(o.model)
     calibrator = _load_artifact(o.calibrator, "calibrator", _parse_calibrator)
+    # a table fixes the group count: every one of its groups must appear
+    group_count = calibrator.group_count if isinstance(calibrator, ThresholdTable) else None
+    test = _load_data(o, o.data, group_count)
+    model = _load_model(o.model)
     _write_text(o, "report.json", report_to_json(evaluate(test, model, calibrator)))
     _write_predictions(os.path.join(o.out_dir, "predictions.csv"), test, model, calibrator)
     inputs = [path for path in (o.data, o.calibrator, o.model) if path]

@@ -333,6 +333,16 @@ def eoc_optimize(
     post-move group means, so every group stays inside its parking
     window and the covered count never falls below its floor.
 
+    Every threshold sits on its cell's covering order statistic, so a
+    drop that moves covers exactly one sample fewer, and an add exactly
+    one more unless the newly covered score ties the next one; only then
+    is the covered count searched again. The group means are computed
+    once per move as numpy's axis-0 reduction of the ``(M, S)`` coverage
+    rates. It adds the bins in order in one call; the means decide tie
+    breaks and go into the trace, so they must keep that summation
+    order: a per-column numpy sum, which adds in eight partial sums,
+    rounds differently from 8 bins up.
+
     A ``state0`` of another calibration set or partition raises
     ValidationError. With a single group the input table is returned
     unchanged.
@@ -390,23 +400,33 @@ def eoc_optimize(
     quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
 
     def group_means() -> np.ndarray:
-        return (k / counts).mean(axis=0)
+        # the bits of (k / counts).mean(axis=0) without its Python wrapper
+        mu = np.add.reduce(k / counts, axis=0)
+        mu /= m_bins
+        return mu
 
     def shift(m: int, s: int, offset: int) -> bool:
         # Move cell (m, s) to the order statistic ``offset`` places from
         # its covering one: -1 drops one covered sample, +1 covers one
         # more. False when tied scores leave the threshold where it was.
-        new_thr = float(cells[m][s][k[m, s] - 1 + offset])
+        # A drop that moves lands on exactly k - 1, an add on k + 1 unless
+        # the newly covered score ties the next one.
+        cell, km = cells[m][s], int(k[m, s]) + offset
+        new_thr = float(cell[km - 1])
         if new_thr == thr[m, s]:
             return False
+        if offset > 0 and km < cell.size and cell[km] == new_thr:
+            km = _covered_count(cell, new_thr)
         thr[m, s] = new_thr
-        k[m, s] = _covered_count(cells[m][s], new_thr)
+        k[m, s] = km
         refresh(m, s)
         return True
 
     iterations: list[IterationRecord] = []
 
-    def record(s1, s2, m1, m2, d_slope, i_slope):
+    def record(s1, s2, m1, m2, d_slope, i_slope) -> np.ndarray:
+        # returns the post-move group means, which the next move starts from
+        mu = group_means()
         iterations.append(
             IterationRecord(
                 step=len(iterations) + 1,
@@ -416,34 +436,41 @@ def eoc_optimize(
                 recipient_bin=m2 + 1 if s2 >= 0 else 0,
                 slope_decrease=float(d_slope),
                 slope_increase=float(i_slope),
-                per_group_mean=tuple(float(v) for v in group_means()),
+                per_group_mean=tuple(mu.tolist()),
             )
         )
+        return mu
 
+    # The window tests and group picks run on Python floats; max and min
+    # keep the first of equal candidates, so ties go to the lowest group.
+    groups = range(s_groups)
+    slack = (stop + eps).tolist()
+    floor = level - eps
+    mu = group_means()
     reason: str | None = None
     for _ in range(max_iters):
-        mu = group_means()
-        over_band = (mu - level) > stop + eps
-        under = mu < level - eps
-        if not bool(over_band.any()) and not bool(under.any()):
+        mus = mu.tolist()
+        over = [s for s in groups if mus[s] - level > slack[s]]
+        under = [s for s in groups if mus[s] < floor]
+        if not over and not under:
             reason = CONVERGED
             break
-        if bool(over_band.any()) and bool(under.any()):
-            s1 = int(np.argmax(np.where(over_band, mu, -np.inf)))
-            s2 = int(np.argmin(np.where(under, mu, np.inf)))
-        elif bool(over_band.any()):
-            s1, s2 = int(np.argmax(mu)), -1  # every group at or above level
+        if over and under:
+            s1 = max(over, key=mus.__getitem__)
+            s2 = min(under, key=mus.__getitem__)
+        elif over:
+            s1, s2 = max(groups, key=mus.__getitem__), -1  # every group at or above level
         else:
-            s1, s2 = -1, int(np.argmin(mu))  # every group at or below window
+            s1, s2 = -1, min(groups, key=mus.__getitem__)  # every group at or below window
 
         m1 = m2 = -1
         if s1 >= 0:
-            m1 = int(np.argmax(dec[:, s1]))
+            m1 = int(dec[:, s1].argmax())
             if dec[m1, s1] == -np.inf:
                 reason = SLOPE_CROSSOVER  # donor has nothing left to give
                 break
         if s2 >= 0:
-            m2 = int(np.argmin(inc[:, s2]))
+            m2 = int(inc[:, s2].argmin())
             if inc[m2, s2] == np.inf:
                 reason = SLOPE_CROSSOVER  # recipient is fully covered everywhere
                 break
@@ -461,7 +488,7 @@ def eoc_optimize(
         if not moved:
             reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
             break
-        record(s1, s2, m1, m2, d_slope, i_slope)
+        mu = record(s1, s2, m1, m2, d_slope, i_slope)
     if reason is None:
         reason = MAX_ITERS
 
@@ -484,18 +511,17 @@ def eoc_optimize(
             progress = False
 
             while int(k.sum()) > k_floor and len(iterations) < max_iters:
-                gain = np.where(group_means() - quantum >= level - eps, dec, -np.inf)
+                gain = np.where(mu - quantum >= level - eps, dec, -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] == -np.inf:
                     break
                 d_slope = dec[m1, s1]
                 shift(m1, s1, -1)
                 progress = True
-                record(s1, -1, m1, 0, d_slope, np.nan)
+                mu = record(s1, -1, m1, 0, d_slope, np.nan)
 
             while len(iterations) < max_iters:
                 # rows: the donor cell, columns: the recipient cell
-                mu = group_means()
                 mu1 = (mu - quantum).ravel()[:, None]
                 mu2 = (mu + quantum).ravel()[None, :]
                 post = mu1 + quantum.ravel()[None, :]
@@ -514,7 +540,7 @@ def eoc_optimize(
                 shift(m1, s1, -1)
                 shift(m2, s2, 1)
                 progress = True
-                record(s1, s2, m1, m2, d_slope, i_slope)
+                mu = record(s1, s2, m1, m2, d_slope, i_slope)
 
     table = ThresholdTable(
         r_hat=thr,
@@ -561,9 +587,8 @@ def cqr_calibrate_groupwise(
 def calibration_objective(cal: Dataset, model: QuantileModel | None, table: ThresholdTable) -> float:
     """Mean total interval width over the calibration set."""
     q_lo, q_hi, _ = band_columns(cal, model, table.alpha)
-    width, _ = union_widths(
-        q_lo, q_hi, cal.group, table.r_hat, np.asarray(table.partition.bounds)
-    )
+    pieces = band_pieces(q_lo, q_hi, cal.group, table.r_hat, np.asarray(table.partition.bounds))
+    width, _ = union_widths(*pieces)
     return float(width.mean())
 
 

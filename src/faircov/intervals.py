@@ -135,36 +135,25 @@ def predict_interval(
     return IntervalSet.from_pieces(list(zip(a[:, 0].tolist(), b[:, 0].tolist())), fallback)
 
 
-def union_widths(
-    q_lo: np.ndarray,
-    q_hi: np.ndarray,
-    group: np.ndarray,
-    r_hat: np.ndarray,
-    bounds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized union widths over :func:`band_pieces`.
+def union_widths(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union widths of the :func:`band_pieces` pair ``(a, b)``.
 
     Returns ``(width, has_piece)`` arrays over records. The width is the
     sum of the per-bin piece lengths; it can differ from the merged
-    union's :meth:`IntervalSet.total_width` in the last bit.
+    union's :meth:`IntervalSet.total_width` in the last bit. The lengths
+    are written into ``b``, so read anything else from the pair first.
     """
-    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
     length = np.subtract(b, a, out=b)
     valid = length >= 0.0
-    return np.where(valid, length, 0.0).sum(axis=0), valid.any(axis=0)
+    length[~valid] = 0.0
+    return length.sum(axis=0), valid.any(axis=0)
 
 
 def union_covered(
-    q_lo: np.ndarray,
-    q_hi: np.ndarray,
-    y: np.ndarray,
-    group: np.ndarray,
-    r_hat: np.ndarray,
-    bounds: np.ndarray,
-    fallback: np.ndarray,
+    a: np.ndarray, b: np.ndarray, y: np.ndarray, fallback: np.ndarray
 ) -> np.ndarray:
-    """Vectorized membership over :func:`band_pieces`, as :meth:`IntervalSet.contains`."""
-    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+    """Membership of ``y`` in the :func:`band_pieces` pair ``(a, b)``, as
+    :meth:`IntervalSet.contains`; records with no piece test the fallback."""
     valid = b >= a
     inside = (valid & (a <= y) & (y <= b)).any(axis=0)
     return np.where(valid.any(axis=0), inside, y == fallback)

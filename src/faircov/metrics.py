@@ -19,7 +19,7 @@ from .binning import BinPartition, bin_indices
 from .conformal import GlobalThreshold, band_columns
 from .core import Dataset, ValidationError
 from .fair_calibration import ThresholdTable
-from .intervals import IntervalSet, union_covered, union_widths
+from .intervals import IntervalSet, band_pieces, union_covered, union_widths
 from .quantile_model import QuantileModel
 
 __all__ = [
@@ -157,9 +157,9 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalRepo
         test, model, calibrator
     )
     alpha = calibrator.alpha
-    bounds = np.asarray(partition.bounds)
-    width, has_piece = union_widths(q_lo, q_hi, test.group, r_hat, bounds)
-    covered = union_covered(q_lo, q_hi, test.y, test.group, r_hat, bounds, fallback)
+    a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
+    covered = union_covered(a, b, test.y, fallback)
+    width, has_piece = union_widths(a, b)  # last: it reuses b
 
     s_groups = test.group_count
     m_bins = partition.m

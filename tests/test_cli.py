@@ -377,6 +377,25 @@ class TestMalformedArtifacts:
         )
         assert "malformed model file" in message
 
+    @pytest.mark.parametrize("kept, missing", [(0, 1), (1, 0)])
+    def test_test_file_missing_a_calibrated_group(self, pipeline, tmp_path, capsys, kept, missing):
+        rows = read_rows(os.path.join(pipeline, "test.csv"))
+        group_col = rows[0].index("group")
+        path = tmp_path / "test.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + [r for r in rows[1:] if r[group_col] == str(kept)])
+        message = self.run_json_errors(
+            [
+                "evaluate",
+                "--out-dir", str(tmp_path / "out"),
+                "--data", str(path),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--calibrator", os.path.join(pipeline, "calibrator.json"),
+            ],
+            capsys,
+        )
+        assert message == f"group ids must be dense: no records for group(s) [{missing}]"
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

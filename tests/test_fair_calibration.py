@@ -484,6 +484,20 @@ def move_kinds(trace, state0, alpha):
     return kinds
 
 
+def multi_sample_adds(trace, counts):
+    """Moves whose add covers a score tied with the next one, and so more
+    than one sample: the recipient's mean rises by more than one sample."""
+    m_bins = counts.shape[0]
+    hits, before = 0, trace.initial_per_group_mean
+    for it in trace.iterations:
+        s2 = it.recipient_group
+        if s2 >= 0 and it.donor_group != s2:
+            one_sample = 1.0 / (m_bins * counts[it.recipient_bin - 1, s2])
+            hits += it.per_group_mean[s2] - before[s2] > 1.5 * one_sample
+        before = it.per_group_mean
+    return hits
+
+
 def tie_locked():
     # Group 0's six scores are tied, group 1's are 1..6. Exchanges whose
     # tied drop cannot move still lift group 1 to the target; group 0 then
@@ -532,6 +546,41 @@ class TestOptimizerMatchesReference:
         # group 0 covers six samples and the pooled count (9) is above its
         # floor (6): only the tie stops the lone drop
         assert trace.iterations[-1].per_group_mean == (1.0, 0.5)
+
+    def test_many_bins(self):
+        # With 16 or 32 bins the summation order shows in a group mean's
+        # last bit: the optimizer reduces the (M, S) rates over axis 0,
+        # adding bins in order, while numpy's sum of one group's column
+        # adds eight running partial sums
+        reordered = 0
+        for seed, (s_groups, m_bins, n, alpha) in enumerate(
+            [(2, 16, 800, 0.1), (3, 32, 1500, 0.2), (4, 16, 1200, 0.05), (5, 32, 2000, 0.1)]
+        ):
+            data = calibration_set(100 + seed, s_groups, n)
+            _, kinds = self.assert_same(data, m_bins, alpha)
+            assert {"exchange", "descent"} <= set(kinds)
+            beta = seeded(data, m_bins, alpha)[1].beta
+            reordered += int(np.sum(beta.mean(axis=0) != [col.mean() for col in beta.T]))
+        assert reordered > 0
+
+    def test_tied_adds_cover_several_samples(self):
+        widened = 0
+        for seed, m_bins in zip(range(1, 5), (4, 8, 3, 6)):
+            data = calibration_set(200 + seed, 2 + seed % 4, 200 + 50 * seed, ties=True)
+            trace, _ = self.assert_same(data, m_bins, 0.1)
+            widened += multi_sample_adds(trace, seeded(data, m_bins, 0.1)[1].cell_counts)
+        assert widened > 0
+
+    def test_equal_means_donor_is_the_flagged_group(self):
+        # groups 0 and 1 both cover everything, but only group 1's window
+        # (one sample of 20) is narrower than its excess over 0.8; group 0's
+        # window is one sample of 4
+        data = point_band_dataset(
+            [(0.5,) * 4, tuple(0.1 * i for i in range(1, 21)), tuple(3.0 + 0.1 * i for i in range(20))]
+        )
+        trace, _ = self.assert_same(data, 1, 0.2)
+        assert trace.initial_per_group_mean[:2] == (1.0, 1.0)
+        assert trace.iterations[0].donor_group == 1
 
 
 @st.composite

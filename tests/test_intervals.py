@@ -172,18 +172,9 @@ class TestVectorizedAgreement:
             t = table(r, bounds=bounds)
             lo, hi = t.partition.label_domain
             fallback = np.clip((data.q_lo + data.q_hi) / 2.0, lo, hi)
-            widths, has_piece = union_widths(
-                data.q_lo, data.q_hi, data.group, t.r_hat, np.asarray(bounds)
-            )
-            covered = union_covered(
-                data.q_lo,
-                data.q_hi,
-                data.y,
-                data.group,
-                t.r_hat,
-                np.asarray(bounds),
-                fallback,
-            )
+            a, b = band_pieces(data.q_lo, data.q_hi, data.group, t.r_hat, np.asarray(bounds))
+            covered = union_covered(a, b, data.y, fallback)
+            widths, has_piece = union_widths(a, b)
             for i in range(data.n):
                 iv = predict_interval(
                     float(data.q_lo[i]), float(data.q_hi[i]), int(data.group[i]), t

@@ -4,7 +4,9 @@ The reference renders each record the way the per-record path always
 has: every bin's piece ``[q_lo - r, q_hi + r]`` clipped with Python
 ``max``/``min``, normalized by ``IntervalSet.from_pieces``, and printed
 with ``repr``. A global shift is a one-bin table over the label domain,
-and a ``cp`` shift is a band collapsed onto the median.
+and a ``cp`` shift is a band collapsed onto the median. ``evaluate``'s
+single kernel pass is held bit for bit to the two-kernel path it
+replaced.
 """
 
 import csv
@@ -16,12 +18,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable
+from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, metrics
 from faircov.binning import BinPartition
 from faircov.cli import _write_predictions
 from faircov.conformal import band_columns
-from faircov.intervals import union_covered, union_widths
-from faircov.metrics import evaluate
+from faircov.intervals import band_pieces, union_covered, union_widths
+from faircov.metrics import _resolve_band, evaluate, report_to_json
 
 from conftest import make_dataset
 
@@ -68,6 +70,53 @@ def reference_csv(test, model, calibrator) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def reference_union_widths(q_lo, q_hi, group, r_hat, bounds):
+    """Widths as evaluate computed them with a kernel call of their own."""
+    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+    length = np.subtract(b, a, out=b)
+    valid = length >= 0.0
+    return np.where(valid, length, 0.0).sum(axis=0), valid.any(axis=0)
+
+
+def reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback):
+    """Coverage as evaluate computed it with a second kernel call."""
+    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+    valid = b >= a
+    inside = (valid & (a <= y) & (y <= b)).any(axis=0)
+    return np.where(valid.any(axis=0), inside, y == fallback)
+
+
+def reference_report(test, model, calibrator) -> str:
+    """``report.json`` text from ``evaluate`` run on the two-kernel path.
+
+    ``band_pieces`` is swapped for a stub that hands its inputs on, so
+    each helper runs its own kernel call on them.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "band_pieces", lambda *inputs: (inputs, None))
+        patch.setattr(
+            metrics,
+            "union_covered",
+            lambda inputs, _, y, fallback: reference_union_covered(
+                *inputs[:2], y, *inputs[2:], fallback
+            ),
+        )
+        patch.setattr(metrics, "union_widths", lambda inputs, _: reference_union_widths(*inputs))
+        return report_to_json(evaluate(test, model, calibrator))
+
+
+def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
+    a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+    covered = union_covered(a, b, y, fallback)
+    width, has_piece = union_widths(a, b)
+    want_width, want_has_piece = reference_union_widths(q_lo, q_hi, group, r_hat, bounds)
+    want_covered = reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback)
+    assert width.tobytes() == want_width.tobytes()
+    assert has_piece.tobytes() == want_has_piece.tobytes()
+    assert covered.tobytes() == want_covered.tobytes()
+    return width, has_piece, covered
 
 
 def adversarial_records():
@@ -149,6 +198,17 @@ def test_writer_matches_reference_bytes(tmp_path, name, model):
     assert written == reference_csv(test, model, calibrator)
 
 
+@pytest.mark.parametrize("name, model", CASES)
+def test_one_kernel_pass_matches_two(name, model):
+    calibrator = CALIBRATORS[name]
+    test = adversarial_records()
+    q_lo, q_hi, partition, r_hat, _, fallback, _ = _resolve_band(test, model, calibrator)
+    bounds = np.asarray(partition.bounds)
+    assert_one_pass_matches_two(q_lo, q_hi, test.y, test.group, r_hat, bounds, fallback)
+    report = report_to_json(evaluate(test, model, calibrator))
+    assert report == reference_report(test, model, calibrator)
+
+
 def test_adversarial_cases_are_reached():
     """The fixture exercises touching merges, zero widths and fallbacks."""
     test = adversarial_records()
@@ -191,8 +251,19 @@ def test_vector_views_match_per_record_sets(case):
     q_lo, q_hi, y, group, r_hat, bounds = case
     point = (q_lo + q_hi) / 2.0
     fallback = np.clip(point, bounds[0], bounds[-1])
-    width, has_piece = union_widths(q_lo, q_hi, group, r_hat, bounds)
-    covered = union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback)
+    width, has_piece, covered = assert_one_pass_matches_two(
+        q_lo, q_hi, y, group, r_hat, bounds, fallback
+    )
+    m_bins, s_groups = r_hat.shape
+    test = make_dataset(y, group, q_lo=q_lo, q_hi=q_hi, group_count=s_groups)
+    calibrator = ThresholdTable(
+        r_hat=r_hat,
+        global_r_hat=0.0,
+        alpha=0.1,
+        partition=BinPartition(bounds=tuple(bounds), counts=(1,) * m_bins),
+        group_count=s_groups,
+    )
+    assert report_to_json(evaluate(test, None, calibrator)) == reference_report(test, None, calibrator)
     for i in range(y.size):
         ref = reference_interval(
             float(q_lo[i]), float(q_hi[i]), int(group[i]), r_hat, tuple(bounds), float(point[i])
