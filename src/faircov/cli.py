@@ -44,7 +44,7 @@ from .core import (
     write_dataset,
 )
 from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate
-from .intervals import IntervalSet, band_pieces
+from .intervals import band_pieces, union_components, union_covered
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
     _resolve_band,
@@ -253,25 +253,39 @@ def cmd_calibrate(o) -> Step:
     return Step(inputs, ["calibrator.json"], hashes=input_hashes)
 
 
+# Records per block of the predictions writer: its (M, block) piece arrays
+# and the block's text are all it holds at once.
+_WRITE_BLOCK = 4096
+
+
 def _write_predictions(path, test, model, calibrator) -> None:
-    """One row per test record; ``width`` is the merged union's width."""
+    """One row per test record; ``width`` is the merged union's width.
+
+    Each block of records takes one pass of the interval kernel; merging,
+    coverage and width are numpy passes over it. Only the text is per
+    record, and it is the text of :class:`IntervalSet` for the record.
+    """
     q_lo, q_hi, partition, r_hat, _, fallback, _ = _resolve_band(test, model, calibrator)
-    a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
+    bounds = np.asarray(partition.bounds)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
-        rows = zip(test.ids, test.group.tolist(), test.y.tolist(), fallback.tolist(), a.T, b.T)
-        for record_id, group, y, fallback_point, row_a, row_b in rows:
-            pred = IntervalSet.from_pieces(list(zip(row_a.tolist(), row_b.tolist())), fallback_point)
-            writer.writerow(
-                [
-                    record_id,
-                    group,
-                    pred.as_text(),
-                    "" if pred.fallback_point is None else repr(pred.fallback_point),
-                    int(pred.contains(y)),
-                    repr(pred.total_width()),
-                ]
+        for lo in range(0, test.n, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            a, b = band_pieces(q_lo[block], q_hi[block], test.group[block], r_hat, bounds)
+            covered = union_covered(a, b, test.y[block], fallback[block])
+            count, start, end, width = union_components(a, b)
+            pieces = list(map("{!r}:{!r}".format, start.tolist(), end.tolist()))
+            stops = np.cumsum(count).tolist()
+            writer.writerows(
+                zip(
+                    test.ids[block],
+                    test.group[block].tolist(),
+                    [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
+                    ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],
+                    covered.astype(np.int64).tolist(),
+                    map(repr, width.tolist()),
+                )
             )
 
 
@@ -298,7 +312,8 @@ def _aligned_table(rows: list[list[str]]) -> str:
 
 def cmd_compare(o) -> Step:
     cal = _load_data(o, o.cal)
-    test = _load_data(o, o.test)
+    # every calibrated group must appear in the test file, as in evaluate
+    test = _load_data(o, o.test, cal.group_count)
     inputs = [o.cal, o.test]
     outputs = ["comparison.csv", "comparison.txt"]
     if o.model:

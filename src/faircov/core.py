@@ -9,6 +9,7 @@ optional display name kept in a sidecar tuple.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -205,6 +206,34 @@ def _parse_float(raw: str, column: str, row: int) -> float:
         raise ValidationError(f"non-numeric value {raw!r} in column {column!r} at row {row}") from None
 
 
+# Rows per parsed block: only one block's field strings are alive at a
+# time (the ids are kept), not the whole file's.
+_READ_BLOCK = 4096
+_DTYPES = {float: np.float64, int: np.int64}
+
+
+def _check_rows(rows, first_row: int, width: int, fields) -> None:
+    """Raise the first error in ``rows``, checked row by row.
+
+    ``fields`` lists ``(column name, index, parser)`` in the order a row
+    is read. A block whose column-wise parse failed is rescanned here,
+    so the error names the same row and column as a per-row reader.
+    """
+    for row_no, row in enumerate(rows, start=first_row):
+        for name, j, parse in fields:
+            if j >= len(row):
+                raise ValidationError(f"row {row_no} has {len(row)} fields; the header has {width}")
+            if parse is float:
+                _parse_float(row[j], name, row_no)
+            elif parse is int:
+                try:
+                    value = int(row[j])
+                except ValueError:
+                    raise ValidationError(f"non-integer group id {row[j]!r} at row {row_no}") from None
+                if not -(2**63) <= value < 2**63:
+                    raise ValidationError(f"group id {value} at row {row_no} is out of range")
+
+
 def load_dataset(
     path: str,
     label_domain: tuple[float, float],
@@ -219,6 +248,12 @@ def load_dataset(
     header names. Crossing quantile bounds are reordered so that
     ``q_lo <= q_hi`` always holds. Every declared group must appear at
     least once.
+
+    Blank lines are skipped and not counted as rows. When a header name
+    repeats, its last column is read; fields past the header are
+    ignored, and a row too short to hold a column that is read is an
+    error. Values are parsed by ``float`` and ``int``, a block of rows
+    per column at a time.
     """
     names = dict(_DEFAULT_SCHEMA)
     if schema:
@@ -228,8 +263,8 @@ def load_dataset(
     except OSError as exc:
         raise ValidationError(f"cannot open dataset file {path!r}: {exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for logical in ("id", "y", "group"):
             if names[logical] not in header:
                 raise ValidationError(f"missing required column {names[logical]!r} in {path!r}")
@@ -243,35 +278,38 @@ def load_dataset(
         )
         if feat_cols and [i for i, _ in feat_cols] != list(range(len(feat_cols))):
             raise ValidationError("feature columns must be consecutively named x0..x{d-1}")
+        # a repeated header name reads its last column
+        index = {name: j for j, name in enumerate(header)}
+        parsed = ["y", "group", *(("q_lo", "q_hi") if has_q else ())]
+        fields = [(names[key], index[names[key]], int if key == "group" else float) for key in parsed]
+        fields += [(name, index[name], float) for _, name in feat_cols]
+        id_field = (names["id"], index[names["id"]], str)
         ids: list[str] = []
-        ys: list[float] = []
-        groups: list[int] = []
-        qlo: list[float] = []
-        qhi: list[float] = []
-        feats: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=1):
-            ids.append(row[names["id"]])
-            ys.append(_parse_float(row[names["y"]], names["y"], row_no))
-            g_raw = row[names["group"]]
+        blocks: list[list[np.ndarray]] = []
+        rows = filter(None, reader)  # csv yields [] for a blank line
+        first_row = 1
+        while block := list(itertools.islice(rows, _READ_BLOCK)):
+            columns = list(zip(*block))  # as many columns as the shortest row
             try:
-                g = int(g_raw)
-            except ValueError:
-                raise ValidationError(
-                    f"non-integer group id {g_raw!r} at row {row_no}"
-                ) from None
-            groups.append(g)
-            if has_q:
-                a = _parse_float(row[names["q_lo"]], names["q_lo"], row_no)
-                b = _parse_float(row[names["q_hi"]], names["q_hi"], row_no)
-                if a > b:
-                    a, b = b, a
-                qlo.append(a)
-                qhi.append(b)
-            if feat_cols:
-                feats.append([_parse_float(row[col], col, row_no) for _, col in feat_cols])
+                blocks.append(
+                    [
+                        np.fromiter(map(parse, columns[j]), _DTYPES[parse], len(block))
+                        for _, j, parse in fields
+                    ]
+                )
+                ids.extend(columns[id_field[1]])
+            except (IndexError, ValueError, OverflowError):
+                _check_rows(block, first_row, len(header), [*fields, id_field])
+                raise
+            first_row += len(block)
     if not ids:
         raise ValidationError(f"empty dataset: {path!r} has a header but no rows")
-    garr = np.asarray(groups, dtype=np.int64)
+    ys, garr, *rest = (np.concatenate(column) for column in zip(*blocks))
+    qlo = qhi = None
+    if has_q:
+        a, b, *rest = rest
+        crossed = a > b  # the swap of a per-row reorder, bit for bit (np.minimum moves -0.0)
+        qlo, qhi = np.where(crossed, b, a), np.where(crossed, a, b)
     s = group_count if group_count is not None else int(garr.max()) + 1
     present = np.unique(garr)
     if present.min() < 0 or present.max() >= s:
@@ -282,13 +320,13 @@ def load_dataset(
         raise ValidationError(f"group ids must be dense: no records for group(s) {missing}")
     return Dataset(
         ids=tuple(ids),
-        y=np.asarray(ys),
+        y=ys,
         group=garr,
         label_domain=(float(label_domain[0]), float(label_domain[1])),
         group_count=s,
-        q_lo=np.asarray(qlo) if has_q else None,
-        q_hi=np.asarray(qhi) if has_q else None,
-        features=np.asarray(feats) if feat_cols else None,
+        q_lo=qlo,
+        q_hi=qhi,
+        features=np.stack(rest, axis=1) if feat_cols else None,
     )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "predict_interval",
     "union_widths",
     "union_covered",
+    "union_components",
 ]
 
 
@@ -78,8 +79,16 @@ class IntervalSet:
         return any(a <= y <= b for a, b in self.components)
 
     def total_width(self) -> float:
-        """Sum of the merged component lengths; zero for a fallback-only prediction."""
-        return float(sum(b - a for a, b in self.components))
+        """Sum of the merged component lengths; zero for a fallback-only prediction.
+
+        The lengths are added left to right from 0.0. The builtin ``sum``
+        compensates its rounding from Python 3.12 on, so it would make the
+        last bit depend on the Python version.
+        """
+        width = 0.0
+        for a, b in self.components:
+            width += b - a
+        return width
 
     def as_text(self) -> str:
         return ";".join(f"{repr(a)}:{repr(b)}" for a, b in self.components)
@@ -157,3 +166,42 @@ def union_covered(
     valid = b >= a
     inside = (valid & (a <= y) & (y <= b)).any(axis=0)
     return np.where(valid.any(axis=0), inside, y == fallback)
+
+
+def union_components(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The components of :meth:`IntervalSet.from_pieces` for every record at once.
+
+    Takes the :func:`band_pieces` pair ``(a, b)`` and returns ``(count,
+    start, end, width)``: each record's component count, the component
+    bounds record by record in ascending order, and each record's
+    :meth:`IntervalSet.total_width`, bit for bit. The pieces lie in
+    ascending bins, so bin order is ``from_pieces``'s sorted order.
+    """
+    m_bins, n = a.shape
+    opens = np.empty((m_bins, n), dtype=bool)
+    running_end = np.empty((m_bins, n))
+    end = np.full(n, -np.inf)
+    for m in range(m_bins):
+        valid = b[m] >= a[m]
+        opens[m] = valid & (a[m] > end)  # a piece past the running end opens a component
+        np.copyto(end, b[m], where=valid & (b[m] > end))  # a tie keeps the old end, as max does
+        running_end[m] = end
+    record, first = np.nonzero(opens.T)  # record-major, ascending bins
+    # a component runs up to the bin before the record's next one opens
+    last = np.full(record.size, m_bins - 1)
+    same = record[1:] == record[:-1]
+    last[:-1][same] = first[1:][same] - 1
+    start = a[first, record]
+    end = running_end[last, record]
+    count = opens.sum(axis=0)
+    # lengths added left to right from 0.0, as total_width does; numpy's own
+    # sum would add a one-record block's column pairwise
+    position = np.arange(record.size) - np.repeat(np.cumsum(count) - count, count)
+    lengths = np.zeros((m_bins, n))
+    lengths[position, record] = end - start
+    width = np.zeros(n)
+    for row in lengths[: count.max(initial=0)]:
+        width += row
+    return count, start, end, width

@@ -396,6 +396,35 @@ class TestMalformedArtifacts:
         )
         assert message == f"group ids must be dense: no records for group(s) [{missing}]"
 
+    def test_compare_test_file_missing_a_calibrated_group(self, pipeline, tmp_path, capsys):
+        rows = read_rows(os.path.join(pipeline, "test.csv"))
+        group_col = rows[0].index("group")
+        path = tmp_path / "test.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + [r for r in rows[1:] if r[group_col] == "0"])
+        message = self.run_json_errors(
+            [
+                "compare",
+                "--out-dir", str(tmp_path / "out"),
+                "--cal", os.path.join(pipeline, "cal.csv"),
+                "--test", str(path),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--bins", "2",
+            ],
+            capsys,
+        )
+        assert message == "group ids must be dense: no records for group(s) [1]"
+
+    def test_short_csv_row(self, pipeline, tmp_path, capsys):
+        rows = read_rows(os.path.join(pipeline, "train.csv"))
+        path = tmp_path / "train.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:3] + [rows[3][:2]] + rows[4:])
+        message = self.run_json_errors(
+            ["fit", "--out-dir", str(tmp_path / "out"), "--data", str(path)], capsys
+        )
+        assert message == f"row 3 has 2 fields; the header has {len(rows[0])}"
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

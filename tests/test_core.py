@@ -6,18 +6,50 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faircov
 from faircov import (
     Dataset,
     SplitSpec,
     ValidationError,
+    core,
     load_dataset,
     split_dataset,
     write_dataset,
 )
+from faircov.core import _DEFAULT_SCHEMA, _FEATURE_RE, _parse_float
 
 from conftest import make_dataset
+
+
+# Cell spellings for random files: numbers as float() and int() accept
+# them, and cells that fail one or both.
+NUMBERS = ["0", "1", " 1.5 ", "1_000.5", "-0.0", "0.0", "1e-320", "5e-324", "3.25", "-2", "1E2", "0_1"]
+GROUP_IDS = ["0", "1", " 1 ", "+0", "0_1", "-0"]
+ANY_CELL = NUMBERS + ["x", "", "a,b", "inf", "nan", "1.0", "1_0", "--1"]
+HEADERS = ["id,y,group", "id,y,group,q_lo,q_hi,x0", "x1,q_hi,group,id,x0,q_lo,y", "id,y,group,y,x0,group"]
+
+
+@st.composite
+def csv_files(draw):
+    """A header and rows: blank lines, rows that parse, rows with any cell."""
+    header = draw(st.sampled_from(HEADERS))
+    names = header.split(",")
+    group_at = len(names) - 1 - names[::-1].index("group")
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["blank", "parses", "parses", "any"]))
+        if kind == "blank":
+            rows.append([])
+            continue
+        cells = st.sampled_from(NUMBERS if kind == "parses" else ANY_CELL)
+        row = draw(st.lists(cells, min_size=len(names), max_size=len(names) + 2))
+        if kind == "parses":
+            row[group_at] = draw(st.sampled_from(GROUP_IDS))
+        rows.append(row)
+    return header, rows
 
 
 def write_csv(path, rows, header="id,y,group"):
@@ -123,6 +155,223 @@ class TestLoadDataset:
         d = load_dataset(path, (0.0, 10.0))
         assert d.feature_dim == 2
         np.testing.assert_array_equal(d.features, [[0.5, -1.5]])
+
+
+def reference_load(path, label_domain, schema=None, group_count=None):
+    """The per-row ``csv.DictReader`` loader that the block-wise one replaced."""
+    names = dict(_DEFAULT_SCHEMA)
+    if schema:
+        names.update(schema)
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot open dataset file {path!r}: {exc}") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for logical in ("id", "y", "group"):
+            if names[logical] not in header:
+                raise ValidationError(f"missing required column {names[logical]!r} in {path!r}")
+        has_q = names["q_lo"] in header or names["q_hi"] in header
+        if has_q and (names["q_lo"] not in header or names["q_hi"] not in header):
+            raise ValidationError("quantile bound columns must be supplied together")
+        feat_cols = sorted(
+            (int(m.group(1)), col)
+            for col in header
+            if (m := _FEATURE_RE.match(col))
+        )
+        if feat_cols and [i for i, _ in feat_cols] != list(range(len(feat_cols))):
+            raise ValidationError("feature columns must be consecutively named x0..x{d-1}")
+        ids: list[str] = []
+        ys: list[float] = []
+        groups: list[int] = []
+        qlo: list[float] = []
+        qhi: list[float] = []
+        feats: list[list[float]] = []
+        for row_no, row in enumerate(reader, start=1):
+            ids.append(row[names["id"]])
+            ys.append(_parse_float(row[names["y"]], names["y"], row_no))
+            g_raw = row[names["group"]]
+            try:
+                g = int(g_raw)
+            except ValueError:
+                raise ValidationError(
+                    f"non-integer group id {g_raw!r} at row {row_no}"
+                ) from None
+            groups.append(g)
+            if has_q:
+                a = _parse_float(row[names["q_lo"]], names["q_lo"], row_no)
+                b = _parse_float(row[names["q_hi"]], names["q_hi"], row_no)
+                if a > b:
+                    a, b = b, a
+                qlo.append(a)
+                qhi.append(b)
+            if feat_cols:
+                feats.append([_parse_float(row[col], col, row_no) for _, col in feat_cols])
+    if not ids:
+        raise ValidationError(f"empty dataset: {path!r} has a header but no rows")
+    garr = np.asarray(groups, dtype=np.int64)
+    s = group_count if group_count is not None else int(garr.max()) + 1
+    present = np.unique(garr)
+    if present.min() < 0 or present.max() >= s:
+        bad = int(present[present >= s][0]) if present.max() >= s else int(present.min())
+        raise ValidationError(f"unknown group id {bad}; declared group count is {s}")
+    missing = sorted(set(range(s)) - set(int(g) for g in present))
+    if missing:
+        raise ValidationError(f"group ids must be dense: no records for group(s) {missing}")
+    return Dataset(
+        ids=tuple(ids),
+        y=np.asarray(ys),
+        group=garr,
+        label_domain=(float(label_domain[0]), float(label_domain[1])),
+        group_count=s,
+        q_lo=np.asarray(qlo) if has_q else None,
+        q_hi=np.asarray(qhi) if has_q else None,
+        features=np.asarray(feats) if feat_cols else None,
+    )
+
+
+def outcome(loader, path, **kwargs):
+    """A loader's dataset as exact bytes, or the error it raised."""
+    try:
+        d = loader(path, (-1e4, 1e4), **kwargs)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (d.y, d.group, d.q_lo, d.q_hi, d.features)
+    return d.ids, d.group_count, [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_loaders_agree(path, **kwargs):
+    want = outcome(reference_load, path, **kwargs)
+    assert outcome(load_dataset, path, **kwargs) == want
+    return want
+
+
+class TestBlockLoaderMatchesReference:
+    """The block-wise loader against the per-row reference, byte for byte."""
+
+    @pytest.fixture(params=[1, 2, 4096], ids=lambda k: f"block{k}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK", request.param)
+        return request.param
+
+    def test_awkward_spellings(self, tmp_path, block):
+        rows = [
+            "a,1_000,0_1,-0.0,0.0,1e-320",
+            "b, 1.5 , 0 ,0.0,-0.0, -2.5e3 ",
+            "c,-0.0,+1,1e-320,-1e-320,1E2",
+            "d,5e-324,0,inf,-inf,0",
+            "e,0.1,1,3,2,-0.0",
+        ]
+        path = write_csv(tmp_path / "d.csv", rows, header="id,y,group,q_lo,q_hi,x0")
+        assert assert_loaders_agree(path) == ("ValidationError", "quantile bounds must be finite")
+        # without the infinite band the same spellings load
+        path = write_csv(tmp_path / "e.csv", rows[:3] + rows[4:], header="id,y,group,q_lo,q_hi,x0")
+        ids, group_count, _ = assert_loaders_agree(path)
+        assert ids == ("a", "b", "c", "e") and group_count == 2
+
+    def test_infinite_label_and_feature(self, tmp_path, block):
+        path = write_csv(tmp_path / "d.csv", ["a,inf,0"])
+        assert assert_loaders_agree(path) == ("ValidationError", "labels must be finite")
+        path = write_csv(tmp_path / "e.csv", ["a,1,0,2", "b,1,0,-inf"], header="id,y,group,x0")
+        assert assert_loaders_agree(path) == ("ValidationError", "features must be finite")
+
+    def test_blank_lines_are_not_rows(self, tmp_path, block):
+        path = tmp_path / "d.csv"
+        path.write_text("id,y,group\n\na,1,0\n\n\nb,2,1\nc,x,0\n\n")
+        assert assert_loaders_agree(str(path)) == (
+            "ValidationError", "non-numeric value 'x' in column 'y' at row 3"
+        )
+        path.write_text("id,y,group\r\n\r\na,1,0\r\n\r\nb,2,1\r\n")
+        assert assert_loaders_agree(str(path))[0] == ("a", "b")
+
+    def test_repeated_header_reads_last_column(self, tmp_path, block):
+        path = write_csv(tmp_path / "d.csv", ["a,x,0,1.5,2.5", "b,y,1,3.5,4.5"], header="id,y,group,y,x0")
+        ids, _, (y, *_) = assert_loaders_agree(path)
+        assert y == ((2,), np.array([1.5, 3.5]).tobytes())
+
+    def test_long_rows_ignore_extra_fields(self, tmp_path, block):
+        path = write_csv(tmp_path / "d.csv", ["a,1,0,extra,more", "b,2,1", "c,3,0,,"])
+        assert assert_loaders_agree(path)[0] == ("a", "b", "c")
+
+    def test_quoted_ids_with_commas(self, tmp_path, block):
+        rows = ['"smith, j",1,0', '"a ""quoted"" id",2,1', '"multi\nline",3,0']
+        path = write_csv(tmp_path / "d.csv", rows)
+        assert assert_loaders_agree(path)[0] == ("smith, j", 'a "quoted" id', "multi\nline")
+
+    def test_schema_and_unused_columns(self, tmp_path, block):
+        rows = ["p1,note,4,1", "p2,,3.5,0"]
+        path = write_csv(tmp_path / "d.csv", rows, header="pid,comment,score,sex")
+        schema = {"id": "pid", "y": "score", "group": "sex"}
+        assert assert_loaders_agree(path, schema=schema, group_count=2)[0] == ("p1", "p2")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # row 2 is bad in x0 and row 3 in y: the first bad row wins, in
+            # whatever block each falls
+            (
+                ["a,1,0,0.5", "b,2,1,oops", "c,bad,0,0.5"],
+                "non-numeric value 'oops' in column 'x0' at row 2",
+            ),
+            (
+                ["a,1,0,0.5", "b,2,1,0.5", "c,3,0,0.5", "d,4,one,0.5"],
+                "non-integer group id 'one' at row 4",
+            ),
+            # within a row the label is read before the group and features
+            (["a,1,0,0.5", "b,?,x,?"], "non-numeric value '?' in column 'y' at row 2"),
+            (["a,1,0,0.5", "b,2,x,?"], "non-integer group id 'x' at row 2"),
+            (["a,1,0.0,0.5"], "non-integer group id '0.0' at row 1"),
+        ],
+    )
+    def test_first_error_in_row_major_order(self, tmp_path, block, rows, message):
+        path = write_csv(tmp_path / "d.csv", rows, header="id,y,group,x0")
+        assert assert_loaders_agree(path) == ("ValidationError", message)
+
+    def test_header_errors(self, tmp_path, block):
+        for header in ("id,y", "id,y,group,q_lo", "id,y,group,x0,x2", ""):
+            path = write_csv(tmp_path / "d.csv", ["a,1,0,1,2"], header=header)
+            assert assert_loaders_agree(path)[0] == "ValidationError"
+
+    @settings(max_examples=200)
+    @given(case=csv_files(), block=st.integers(1, 4))
+    def test_random_files(self, tmp_path_factory, case, block):
+        header, rows = case
+        path = tmp_path_factory.mktemp("random") / "d.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            csv.writer(fh).writerows(rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_READ_BLOCK", block)
+            assert_loaders_agree(str(path))
+
+
+class TestShortRows:
+    def test_short_row_names_row_and_field_counts(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,1,0", "", "b,2"])
+        with pytest.raises(ValidationError, match="^row 2 has 2 fields; the header has 3$"):
+            load_dataset(path, (0.0, 10.0))
+
+    def test_reference_loader_crashed_on_a_short_row(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,1,0", "b,2"])
+        with pytest.raises(TypeError):
+            reference_load(path, (0.0, 10.0))
+
+    def test_errors_before_the_missing_field_come_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK", 2)
+        path = write_csv(tmp_path / "d.csv", ["a,1,0,2", "b,2,1,3", "c,x", "d"], header="id,y,group,x0")
+        with pytest.raises(ValidationError, match="non-numeric value 'x' in column 'y' at row 3"):
+            load_dataset(path, (0.0, 10.0))
+
+    def test_a_short_unread_column_is_allowed(self, tmp_path):
+        # DictReader fills a missing field with None; a column never read is harmless
+        path = write_csv(tmp_path / "d.csv", ["a,1,0,note", "b,2,1"], header="id,y,group,comment")
+        assert_loaders_agree(path)
+
+    def test_out_of_range_group_id(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,1,0", f"b,2,{2**63}"])
+        with pytest.raises(ValidationError, match=f"group id {2**63} at row 2 is out of range"):
+            load_dataset(path, (0.0, 10.0))
 
 
 class TestRoundTrip:

@@ -1,5 +1,7 @@
 """Union-of-bins interval construction and vectorized membership."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -13,7 +15,7 @@ from faircov import (
     cqr_score,
     predict_interval,
 )
-from faircov.intervals import band_pieces, union_covered, union_widths
+from faircov.intervals import band_pieces, union_components, union_covered, union_widths
 
 from conftest import synthetic_with_band
 
@@ -155,6 +157,15 @@ class TestIntervalSet:
         with pytest.raises(ValidationError, match="disjoint"):
             IntervalSet(components=((1.0, 3.0), (3.0, 4.0)))
 
+    def test_total_width_adds_left_to_right(self):
+        # lengths 0.1, 0.2 and 0.3: added in order they round to
+        # 0.6000000000000001, where a compensated sum gives 0.6
+        iv = IntervalSet(components=((0.0, 0.1), (0.15625, 0.35625), (0.436, 0.736)))
+        lengths = [b - a for a, b in iv.components]
+        assert lengths == [0.1, 0.2, 0.3]
+        assert math.fsum(lengths) == 0.6
+        assert iv.total_width() == ((0.0 + 0.1) + 0.2) + 0.3 == 0.6000000000000001
+
     def test_text_round_trip_precision(self):
         iv = IntervalSet.from_pieces([(0.1 + 0.2, 1.0 / 3.0 + 1.0)])
         a, b = iv.as_text().split(";")[0].split(":")
@@ -182,3 +193,56 @@ class TestVectorizedAgreement:
                 assert covered[i] == iv.contains(float(data.y[i]))
                 assert has_piece[i] == bool(iv.components)
                 np.testing.assert_allclose(widths[i], iv.total_width(), rtol=1e-12, atol=0.0)
+
+
+class TestUnionComponents:
+    @staticmethod
+    def assert_matches_from_pieces(a, b):
+        """Components and widths as ``IntervalSet`` builds them, compared by
+        ``repr`` so that a signed zero counts."""
+        count, start, end, width = union_components(a, b)
+        got, first = [], 0
+        for k, w in zip(count.tolist(), width.tolist()):
+            bounds = zip(start[first : first + k].tolist(), end[first : first + k].tolist())
+            got.append(([(repr(s), repr(e)) for s, e in bounds], repr(w)))
+            first += k
+        want = []
+        for i in range(a.shape[1]):
+            iv = IntervalSet.from_pieces(list(zip(a[:, i].tolist(), b[:, i].tolist())), 0.0)
+            want.append(([(repr(s), repr(e)) for s, e in iv.components], repr(iv.total_width())))
+        assert got == want
+
+    def test_one_bin(self):
+        # a zero-width piece from 0.0 to -0.0 has length -0.0; the width is 0.0
+        a = np.array([[0.0, 1.0, 2.0, 1.5]])
+        b = np.array([[-0.0, 3.0, 1.0, 1.5]])
+        self.assert_matches_from_pieces(a, b)
+
+    def test_merges_ties_and_gaps(self):
+        # bins [-1, 0], [0, 1], [1, 2]; one record per column
+        a = np.array(
+            [
+                [-1.0, -0.5, -1.0, 0.0, 0.5],
+                [-0.0, 0.0, 0.5, 1.0, 0.5],
+                [1.5, 1.0, 1.0, 2.0, 1.5],
+            ]
+        )
+        b = np.array(
+            [
+                [0.0, 0.0, -0.5, -1.0, 0.0],  # a tie at 0: the old end 0.0 stays
+                [-0.0, 1.0, 1.0, 0.0, 1.0],
+                [2.0, 1.5, 1.5, 1.0, 2.0],
+            ]
+        )
+        self.assert_matches_from_pieces(a, b)
+        count, *_ = union_components(a, b)
+        assert count.tolist() == [2, 1, 2, 0, 2]
+
+    def test_one_record_adds_left_to_right(self):
+        # numpy sums a one-column (M, 1) array pairwise along M, which
+        # rounds these sixteen lengths differently from adding in order
+        a = np.arange(16.0)[:, None]
+        b = a + np.arange(1, 17)[:, None] / 192.0
+        in_order = IntervalSet.from_pieces(list(zip(a[:, 0].tolist(), b[:, 0].tolist())))
+        assert (b - a).sum(axis=0)[0] != in_order.total_width()
+        self.assert_matches_from_pieces(a, b)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, metrics
+from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, cli, metrics
 from faircov.binning import BinPartition
 from faircov.cli import _write_predictions
 from faircov.conformal import band_columns
@@ -246,6 +246,31 @@ def random_tables(draw):
     return q_lo, q_hi, y, group, r_hat.reshape(m_bins, s_groups), bounds
 
 
+def dataset_and_table(case):
+    q_lo, q_hi, y, group, r_hat, bounds = case
+    m_bins, s_groups = r_hat.shape
+    test = make_dataset(y, group, q_lo=q_lo, q_hi=q_hi, group_count=s_groups)
+    calibrator = ThresholdTable(
+        r_hat=r_hat,
+        global_r_hat=0.0,
+        alpha=0.1,
+        partition=BinPartition(bounds=tuple(bounds.tolist()), counts=(1,) * m_bins),
+        group_count=s_groups,
+    )
+    return test, calibrator
+
+
+@given(random_tables(), st.integers(1, 4))
+def test_writer_matches_reference_across_blocks(tmp_path_factory, case, block):
+    test, calibrator = dataset_and_table(case)
+    path = tmp_path_factory.mktemp("predictions") / "predictions.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_WRITE_BLOCK", block)  # up to 12 records: several blocks
+        _write_predictions(str(path), test, None, calibrator)
+    with open(path, newline="") as fh:
+        assert fh.read() == reference_csv(test, None, calibrator)
+
+
 @given(random_tables())
 def test_vector_views_match_per_record_sets(case):
     q_lo, q_hi, y, group, r_hat, bounds = case
@@ -254,15 +279,7 @@ def test_vector_views_match_per_record_sets(case):
     width, has_piece, covered = assert_one_pass_matches_two(
         q_lo, q_hi, y, group, r_hat, bounds, fallback
     )
-    m_bins, s_groups = r_hat.shape
-    test = make_dataset(y, group, q_lo=q_lo, q_hi=q_hi, group_count=s_groups)
-    calibrator = ThresholdTable(
-        r_hat=r_hat,
-        global_r_hat=0.0,
-        alpha=0.1,
-        partition=BinPartition(bounds=tuple(bounds), counts=(1,) * m_bins),
-        group_count=s_groups,
-    )
+    test, calibrator = dataset_and_table(case)
     assert report_to_json(evaluate(test, None, calibrator)) == reference_report(test, None, calibrator)
     for i in range(y.size):
         ref = reference_interval(
