@@ -26,6 +26,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -43,7 +44,7 @@ from .core import (
     split_dataset,
     write_dataset,
 )
-from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate
+from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate, measure_coverage
 from .intervals import band_pieces, union_components, union_covered
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
@@ -236,11 +237,40 @@ def _run_calibration(method, cal, model, alpha, bins, max_iters=None):
     return fair_calibrate(cal, model, bins, alpha, max_iters=max_iters)
 
 
+def _missed_floors(cal, model, table: ThresholdTable) -> list[str]:
+    """The coverage floors ``table`` misses on its own calibration set.
+
+    Every group's bin-mean coverage must reach ``1 - alpha`` and the
+    pooled covered count ``ceil(n (1 - alpha))``, with the optimizer's
+    own tolerances.
+    """
+    state = measure_coverage(cal, model, table)
+    target = 1.0 - table.alpha
+    missed = [
+        f"group {s} bin-mean coverage {mean!r} < {target!r}"
+        for s, mean in enumerate(state.per_group_mean.tolist())
+        if mean < target - 1e-12
+    ]
+    covered = int(np.rint((state.beta * state.cell_counts).sum()))
+    floor = math.ceil(cal.n * target - 1e-9)
+    if covered < floor:
+        missed.append(f"pooled covered count {covered} < {floor}")
+    return missed
+
+
 def cmd_calibrate(o) -> Step:
     cal = _load_data(o, o.data)
     model = _load_model(o.model)
     inputs = [path for path in (o.data, o.model) if path]
     calibrator, trace = _run_calibration(o.method, cal, model, o.alpha, o.bins, o.max_iters)
+    if trace is not None:
+        # a fuq table below its floors is an error, not an artifact
+        missed = _missed_floors(cal, model, calibrator)
+        if missed:
+            raise ValidationError(
+                f"the fuq table misses its coverage floors (optimizer stopped by "
+                f"{trace.termination_reason}): " + "; ".join(missed)
+            )
     input_hashes = {path: _sha256(path) for path in inputs}
     if isinstance(calibrator, ThresholdTable):
         extras = {"method": o.method, "seed": o.seed, "input_hashes": input_hashes}
@@ -256,6 +286,18 @@ def cmd_calibrate(o) -> Step:
 # Records per block of the predictions writer: its (M, block) piece arrays
 # and the block's text are all it holds at once.
 _WRITE_BLOCK = 4096
+
+
+def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
+    """``repr(start):repr(end)`` of each component.
+
+    Components clipped to a bin bound share it, so each distinct bound is
+    printed once. Bounds are told apart by their bits, which keeps
+    ``-0.0`` apart from ``0.0``.
+    """
+    bits, where = np.unique(np.concatenate((start, end)).view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
+    return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
 
 
 def _write_predictions(path, test, model, calibrator) -> None:
@@ -275,7 +317,7 @@ def _write_predictions(path, test, model, calibrator) -> None:
             a, b = band_pieces(q_lo[block], q_hi[block], test.group[block], r_hat, bounds)
             covered = union_covered(a, b, test.y[block], fallback[block])
             count, start, end, width = union_components(a, b)
-            pieces = list(map("{!r}:{!r}".format, start.tolist(), end.tolist()))
+            pieces = _piece_texts(start, end)
             stops = np.cumsum(count).tolist()
             writer.writerows(
                 zip(

@@ -13,8 +13,16 @@ scores it covers, so during optimization thresholds are re-expressed on
 the cell score order statistics; moving to the adjacent order statistic
 is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
-width-bounded. Every move is picked from two (M, S) slope tables, which
-a move refreshes only for the cells it changes.
+width-bounded. Every move is picked from two slope tables, which a move
+refreshes only for the cells it changes.
+
+The optimizer's state is Python ints and floats in group-major lists, so
+a move does scalar work without numpy. A group's mean is its bins'
+coverage rates added in bin order with ``reduce(add)``, never ``sum``:
+that is numpy's axis-0 reduction of the (M, S) rates bit for bit, while
+the builtin ``sum`` compensates from Python 3.12 on. The means decide
+tie breaks and go into the trace, so their last bit is part of the
+output.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
 set (scores, bins, sorted cell scores, counts). A calibration makes three
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -237,13 +247,13 @@ def _covered_count(cell: np.ndarray, threshold: float) -> int:
 
 def _dec_slope(cell: np.ndarray, k: int) -> float:
     # width saved per record when the k-th covered sample is dropped; k >= 2
-    return float(cell[k - 1] - cell[k - 2]) / cell.size
+    return (cell.item(k - 1) - cell.item(k - 2)) / cell.size
 
 
 def _inc_slope(cell: np.ndarray, k: int, current: float) -> float:
     # width paid per record when the (k+1)-th sample is covered; k < size
-    base = float(cell[k - 1]) if k >= 1 else float(current)
-    return max(0.0, float(cell[k]) - base) / cell.size
+    base = cell.item(k - 1) if k >= 1 else float(current)
+    return max(0.0, cell.item(k) - base) / cell.size
 
 
 def slope_decrease(cell_scores, r_hat: float) -> float:
@@ -320,7 +330,7 @@ def eoc_optimize(
     Before iterating, every threshold is re-expressed on the covering
     order statistic of its cell, which releases pure slack as width
     without touching coverage. Every phase then picks its moves from two
-    ``(M, S)`` slope tables: the width saved by dropping each cell's top
+    slope tables: the width saved by dropping each cell's top
     covered sample (``-inf`` where fewer than two are covered) and the
     width paid by covering its next one (``+inf`` where the cell is
     full), refreshed only for the cells a move changes. Ties go to the
@@ -336,12 +346,20 @@ def eoc_optimize(
     Every threshold sits on its cell's covering order statistic, so a
     drop that moves covers exactly one sample fewer, and an add exactly
     one more unless the newly covered score ties the next one; only then
-    is the covered count searched again. The group means are computed
-    once per move as numpy's axis-0 reduction of the ``(M, S)`` coverage
-    rates. It adds the bins in order in one call; the means decide tie
-    breaks and go into the trace, so they must keep that summation
-    order: a per-column numpy sum, which adds in eight partial sums,
-    rounds differently from 8 bins up.
+    is the covered count searched again.
+
+    The state is Python scalars in group-major lists (entry ``[s][m]`` is
+    cell ``(m, s)``): covered counts, thresholds, coverage rates, the two
+    slope tables, the group means and the pooled covered count. Order
+    statistics are read one at a time with ``ndarray.item``. A group's
+    best cell is ``col.index(max(col))`` (or ``min``), the first of equal
+    candidates, as ``argmax`` picks it. A move recomputes only its
+    groups' means, as ``reduce(add, rates) / M``: the bins added in
+    order, the same bits as numpy's axis-0 reduction of the ``(M, S)``
+    rates. The means decide tie breaks and go into the trace, so the
+    summation order is part of the output: ``reduce(add)``, never
+    ``sum``, which compensates from Python 3.12 on. The cleanup builds
+    its ``(M, S)`` and ``(MS, MS)`` arrays from the lists on each move.
 
     A ``state0`` of another calibration set or partition raises
     ValidationError. With a single group the input table is returned
@@ -361,27 +379,33 @@ def eoc_optimize(
         return table0, OptimizerTrace(init_means, (), CONVERGED)
 
     cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
-    cells, counts = cell_scores.cells, cell_scores.counts
-    thr = np.array(table0.r_hat, dtype=np.float64)
-    k = np.zeros((m_bins, s_groups), dtype=np.int64)
-    dec = np.empty((m_bins, s_groups))  # the slope tables
-    inc = np.empty((m_bins, s_groups))
+    counts = cell_scores.counts
+    groups = range(s_groups)
+    cells = list(zip(*cell_scores.cells))
+    sizes = counts.T.tolist()
+    thr = np.asarray(table0.r_hat, dtype=np.float64).T.tolist()
+    k = [[0] * m_bins for _ in groups]
+    rate = [[0.0] * m_bins for _ in groups]  # k / count
+    dec = [[0.0] * m_bins for _ in groups]  # the slope tables
+    inc = [[0.0] * m_bins for _ in groups]
 
-    def refresh(m: int, s: int) -> None:
-        cell, km = cells[m][s], int(k[m, s])
-        dec[m, s] = _dec_slope(cell, km) if km >= 2 else -np.inf
-        inc[m, s] = _inc_slope(cell, km, float(thr[m, s])) if km < cell.size else np.inf
+    def refresh(s: int, m: int) -> None:
+        cell, km, size = cells[s][m], k[s][m], sizes[s][m]
+        rate[s][m] = km / size
+        dec[s][m] = _dec_slope(cell, km) if km >= 2 else -math.inf
+        inc[s][m] = _inc_slope(cell, km, thr[s][m]) if km < size else math.inf
 
     # Re-express thresholds on the covering order statistic of each cell.
     # Coverage is unchanged, pure threshold slack is released as width,
     # and every later move lands exactly on an adjacent order statistic.
     # Cells covering nothing keep their seed threshold below the minimum.
-    for m in range(m_bins):
-        for s in range(s_groups):
-            k[m, s] = _covered_count(cells[m][s], thr[m, s])
-            if k[m, s] >= 1:
-                thr[m, s] = cells[m][s][k[m, s] - 1]
-            refresh(m, s)
+    for s in groups:
+        for m in range(m_bins):
+            k[s][m] = _covered_count(cells[s][m], thr[s][m])
+            if k[s][m] >= 1:
+                thr[s][m] = cells[s][m].item(k[s][m] - 1)
+            refresh(s, m)
+    covered = sum(map(sum, k))  # ints, so any order is exact
 
     band = 1.0 / counts.min(axis=0)  # documented tolerance per group
     # Park each group in the one-sided window [target, target + stop],
@@ -399,34 +423,37 @@ def eoc_optimize(
     cell_weight = 1.0 / (m_bins * s_groups)
     quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
 
-    def group_means() -> np.ndarray:
-        # the bits of (k / counts).mean(axis=0) without its Python wrapper
-        mu = np.add.reduce(k / counts, axis=0)
-        mu /= m_bins
-        return mu
+    def group_mean(s: int) -> float:
+        # bins added in order: the bits of np.add.reduce(rates, axis=0) / M
+        return reduce(add, rate[s]) / m_bins
 
-    def shift(m: int, s: int, offset: int) -> bool:
+    def shift(s: int, m: int, offset: int) -> bool:
         # Move cell (m, s) to the order statistic ``offset`` places from
         # its covering one: -1 drops one covered sample, +1 covers one
         # more. False when tied scores leave the threshold where it was.
         # A drop that moves lands on exactly k - 1, an add on k + 1 unless
         # the newly covered score ties the next one.
-        cell, km = cells[m][s], int(k[m, s]) + offset
-        new_thr = float(cell[km - 1])
-        if new_thr == thr[m, s]:
+        nonlocal covered
+        cell, km = cells[s][m], k[s][m] + offset
+        new_thr = cell.item(km - 1)
+        if new_thr == thr[s][m]:
             return False
-        if offset > 0 and km < cell.size and cell[km] == new_thr:
+        if offset > 0 and km < sizes[s][m] and cell.item(km) == new_thr:
             km = _covered_count(cell, new_thr)
-        thr[m, s] = new_thr
-        k[m, s] = km
-        refresh(m, s)
+        covered += km - k[s][m]
+        thr[s][m] = new_thr
+        k[s][m] = km
+        refresh(s, m)
         return True
 
     iterations: list[IterationRecord] = []
+    mu = [group_mean(s) for s in groups]
 
-    def record(s1, s2, m1, m2, d_slope, i_slope) -> np.ndarray:
-        # returns the post-move group means, which the next move starts from
-        mu = group_means()
+    def record(s1, s2, m1, m2, d_slope, i_slope) -> None:
+        # refreshes the moved groups' means, which the next move starts from
+        for s in (s1, s2):
+            if s >= 0:
+                mu[s] = group_mean(s)
         iterations.append(
             IterationRecord(
                 step=len(iterations) + 1,
@@ -434,61 +461,57 @@ def eoc_optimize(
                 recipient_group=s2,
                 donor_bin=m1 + 1 if s1 >= 0 else 0,
                 recipient_bin=m2 + 1 if s2 >= 0 else 0,
-                slope_decrease=float(d_slope),
-                slope_increase=float(i_slope),
-                per_group_mean=tuple(mu.tolist()),
+                slope_decrease=d_slope,
+                slope_increase=i_slope,
+                per_group_mean=tuple(mu),
             )
         )
-        return mu
 
-    # The window tests and group picks run on Python floats; max and min
-    # keep the first of equal candidates, so ties go to the lowest group.
-    groups = range(s_groups)
+    # max and min keep the first of equal candidates, so ties go to the
+    # lowest group, and list.index to the lowest bin.
     slack = (stop + eps).tolist()
     floor = level - eps
-    mu = group_means()
     reason: str | None = None
     for _ in range(max_iters):
-        mus = mu.tolist()
-        over = [s for s in groups if mus[s] - level > slack[s]]
-        under = [s for s in groups if mus[s] < floor]
+        over = [s for s in groups if mu[s] - level > slack[s]]
+        under = [s for s in groups if mu[s] < floor]
         if not over and not under:
             reason = CONVERGED
             break
         if over and under:
-            s1 = max(over, key=mus.__getitem__)
-            s2 = min(under, key=mus.__getitem__)
+            s1 = max(over, key=mu.__getitem__)
+            s2 = min(under, key=mu.__getitem__)
         elif over:
-            s1, s2 = max(groups, key=mus.__getitem__), -1  # every group at or above level
+            s1, s2 = max(groups, key=mu.__getitem__), -1  # every group at or above level
         else:
-            s1, s2 = -1, min(groups, key=mus.__getitem__)  # every group at or below window
+            s1, s2 = -1, min(groups, key=mu.__getitem__)  # every group at or below window
 
         m1 = m2 = -1
+        d_slope = i_slope = math.nan
         if s1 >= 0:
-            m1 = int(dec[:, s1].argmax())
-            if dec[m1, s1] == -np.inf:
+            d_slope = max(dec[s1])
+            if d_slope == -math.inf:
                 reason = SLOPE_CROSSOVER  # donor has nothing left to give
                 break
+            m1 = dec[s1].index(d_slope)
         if s2 >= 0:
-            m2 = int(inc[:, s2].argmin())
-            if inc[m2, s2] == np.inf:
+            i_slope = min(inc[s2])
+            if i_slope == math.inf:
                 reason = SLOPE_CROSSOVER  # recipient is fully covered everywhere
                 break
-        if s1 >= 0 and s2 < 0:
+            m2 = inc[s2].index(i_slope)
+        if s1 >= 0 and s2 < 0 and covered - 1 < k_floor:
             # a lone drop spends pooled coverage; keep the covered count
             # at or above the overall floor
-            if int(k.sum()) - 1 < k_floor:
-                reason = SLOPE_CROSSOVER
-                break
+            reason = SLOPE_CROSSOVER
+            break
 
-        d_slope = dec[m1, s1] if s1 >= 0 else np.nan
-        i_slope = inc[m2, s2] if s2 >= 0 else np.nan
-        moved = s1 >= 0 and shift(m1, s1, -1)
-        moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
+        moved = s1 >= 0 and shift(s1, m1, -1)
+        moved = (s2 >= 0 and shift(s2, m2, 1)) or moved
         if not moved:
             reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
             break
-        mu = record(s1, s2, m1, m2, d_slope, i_slope)
+        record(s1, s2, m1, m2, d_slope, i_slope)
     if reason is None:
         reason = MAX_ITERS
 
@@ -502,7 +525,8 @@ def eoc_optimize(
         # feasibility is judged on the post-exchange means, so a
         # same-group rebalance is allowed even when its drop alone would
         # dip below the target. Stops at the slope crossover, where no
-        # exchange pays for itself.
+        # exchange pays for itself. Each pass reads the bin-major (M, S)
+        # slope tables, so argmax ties go to the first cell in that order.
         cell_group = np.tile(np.arange(s_groups), m_bins)  # group of each raveled cell
         same_group = cell_group[:, None] == cell_group[None, :]
         ceiling = (level + stop + eps)[cell_group]
@@ -510,47 +534,47 @@ def eoc_optimize(
         while progress and len(iterations) < max_iters:
             progress = False
 
-            while int(k.sum()) > k_floor and len(iterations) < max_iters:
-                gain = np.where(mu - quantum >= level - eps, dec, -np.inf)
+            while covered > k_floor and len(iterations) < max_iters:
+                gain = np.where(np.array(mu) - quantum >= level - eps, np.array(dec).T, -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] == -np.inf:
                     break
-                d_slope = dec[m1, s1]
-                shift(m1, s1, -1)
+                d_slope = dec[s1][m1]
+                shift(s1, m1, -1)
                 progress = True
-                mu = record(s1, -1, m1, 0, d_slope, np.nan)
+                record(s1, -1, m1, 0, d_slope, math.nan)
 
             while len(iterations) < max_iters:
                 # rows: the donor cell, columns: the recipient cell
-                mu1 = (mu - quantum).ravel()[:, None]
-                mu2 = (mu + quantum).ravel()[None, :]
+                mu1 = (np.array(mu) - quantum).ravel()[:, None]
+                mu2 = (np.array(mu) + quantum).ravel()[None, :]
                 post = mu1 + quantum.ravel()[None, :]
                 ok = np.where(
                     same_group,
                     (level - eps <= post) & (post <= ceiling[:, None]),
                     (mu1 >= level - eps) & (mu2 <= ceiling[None, :]),
                 )
-                gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
+                spread = np.array(dec).T.ravel()[:, None] - np.array(inc).T.ravel()[None, :]
+                gain = np.where(ok, spread, -np.inf)
                 np.fill_diagonal(gain, -np.inf)
                 a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
                 if gain[a, b] <= 0.0:
                     break
                 (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
-                d_slope, i_slope = dec[m1, s1], inc[m2, s2]
-                shift(m1, s1, -1)
-                shift(m2, s2, 1)
+                d_slope, i_slope = dec[s1][m1], inc[s2][m2]
+                shift(s1, m1, -1)
+                shift(s2, m2, 1)
                 progress = True
-                mu = record(s1, s2, m1, m2, d_slope, i_slope)
+                record(s1, s2, m1, m2, d_slope, i_slope)
 
     table = ThresholdTable(
-        r_hat=thr,
+        r_hat=np.array(thr).T,
         global_r_hat=table0.global_r_hat,
         alpha=alpha,
         partition=table0.partition,
         group_count=s_groups,
     )
     return table, OptimizerTrace(init_means, tuple(iterations), reason)
-
 
 def fair_calibrate(
     cal: Dataset,

@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from faircov import write_dataset
-from faircov.cli import build_parser, main
+from faircov import ThresholdTable, equal_mass_bins, write_dataset
+from faircov.cli import _missed_floors, build_parser, main
 
 from conftest import make_dataset
 
@@ -236,6 +236,56 @@ class TestExitCodes:
         assert payload["error"] == "ValidationError"
         assert payload["exit_code"] == 1
         assert "bogus" in payload["message"]
+
+
+class TestFloorCheck:
+    """``calibrate --method fuq`` refuses a table below its coverage floors."""
+
+    def write_cal(self, tmp_path):
+        # one move lifts group 1 from 0.65 to 0.7 of its 0.8 target
+        y = np.linspace(5.25, 9.75, 40)
+        group = np.arange(40) % 2
+        score = np.where(group == 0, 0.05, 0.1) * np.arange(40) + group
+        path = str(tmp_path / "cal.csv")
+        write_dataset(make_dataset(y, group, q_lo=y - score, q_hi=y - score), path)
+        return path
+
+    def calibrate(self, cal, out, *extra):
+        argv = ["calibrate", "--out-dir", out, "--data", cal, "--method", "fuq", "--bins", "2"]
+        return main([*argv, "--alpha", "0.2", "--label-domain", "0,10", "--json-errors", *extra])
+
+    def test_capped_run_below_a_floor_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "capped")
+        assert self.calibrate(self.write_cal(tmp_path), out, "--max-iters", "1") == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ValidationError"
+        assert "max_iters" in payload["message"]
+        assert "group 1 bin-mean coverage 0.7 < 0.8" in payload["message"]
+        assert "group 0" not in payload["message"]
+        assert "pooled" not in payload["message"]
+        assert not os.path.exists(os.path.join(out, "calibrator.json"))
+
+    def test_finished_run_writes_its_table(self, tmp_path):
+        out = str(tmp_path / "finished")
+        assert self.calibrate(self.write_cal(tmp_path), out) == 0
+        with open(os.path.join(out, "calibrator.json")) as fh:
+            assert json.load(fh)["trace_summary"]["termination_reason"] == "converged"
+
+    def test_pooled_floor_is_named(self):
+        # every group has a one-record cell and a nine-record cell; a shift of
+        # 6 covers 1 + 6 of 10 records per group: bin means 0.833, pooled 14 of 20
+        y = np.concatenate(([0.25], 0.5 * np.arange(1, 10), 5.0 + 0.5 * np.arange(1, 10), [9.75]))
+        group = np.array([0] + [1] * 9 + [0] * 9 + [1])
+        score = np.concatenate(([0.0], np.arange(1.0, 10.0), np.arange(1.0, 10.0), [0.0]))
+        cal = make_dataset(y, group, q_lo=y - score, q_hi=y - score, domain=(-20.0, 10.0))
+        table = ThresholdTable(
+            r_hat=np.full((2, 2), 6.0),
+            global_r_hat=6.0,
+            alpha=0.2,
+            partition=equal_mass_bins(cal.y, 2, cal.label_domain),
+            group_count=2,
+        )
+        assert _missed_floors(cal, None, table) == ["pooled covered count 14 < 16"]
 
 
 class TestConfigFile:

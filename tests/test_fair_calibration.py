@@ -445,14 +445,19 @@ def calibration_set(seed, s_groups, n, ties=False):
     Dealing groups round-robin along the sorted labels puts at least
     ``n // (M * S)`` records of every group in each of M equal-mass bins.
     Score scales differ by group, so the seed table over-covers some
-    groups and under-covers others; ``ties`` rounds the scores to integers.
+    groups and under-covers others. ``ties=True`` rounds the scores to
+    integers, and a number rounds them to its multiples: a fine step ties
+    some scores without tie-locking most cells, as integers do once cells
+    hold dozens of records.
     """
     rng = np.random.default_rng(seed)
     y = np.sort(rng.uniform(0.0, 10.0, n))
     group = np.arange(n) % s_groups
     score = rng.uniform(0.3, 3.0, s_groups)[group] * np.abs(rng.standard_normal(n))
-    if ties:
+    if ties is True:
         score = np.round(score)
+    elif ties:
+        score = np.round(score / ties) * ties
     q = y - score
     return make_dataset(y, group, q_lo=q, q_hi=q, domain=(-20.0, 10.0), group_count=s_groups)
 
@@ -570,6 +575,32 @@ class TestOptimizerMatchesReference:
             trace, _ = self.assert_same(data, m_bins, 0.1)
             widened += multi_sample_adds(trace, seeded(data, m_bins, 0.1)[1].cell_counts)
         assert widened > 0
+
+    def test_benchmark_shape(self):
+        # 32 bins by 4 groups over 3,000 records, as calibrate_large's
+        # largest table, with tied scores
+        kinds, reasons, widened = set(), set(), 0
+        for seed, grid, alpha in ((300, 0.1, 0.2), (302, 0.02, 0.1), (301, 0.1, 0.2)):
+            data = calibration_set(seed, 4, 3000, ties=grid)
+            trace, seen = self.assert_same(data, 32, alpha)
+            kinds.update(seen)
+            reasons.add(trace.termination_reason)
+            widened += multi_sample_adds(trace, seeded(data, 32, alpha)[1].cell_counts)
+        assert kinds == {"exchange", "lone_drop", "lone_add", "trim", "descent"}
+        assert reasons == {CONVERGED, SLOPE_CROSSOVER}
+        assert widened > 0
+
+    def test_benchmark_shape_iteration_caps(self):
+        # the uncapped run makes 52 exchanges, 18 lone drops, then descents
+        # and trims up to move 80; caps land in each phase
+        data = calibration_set(300, 4, 3000, ties=0.1)
+        lengths, reasons = [], set()
+        for max_iters in (1, 40, 60, 72, 76, 79):
+            trace, _ = self.assert_same(data, 32, 0.2, max_iters=max_iters)
+            lengths.append(len(trace.iterations))
+            reasons.add(trace.termination_reason)
+        assert lengths == [1, 40, 60, 72, 76, 79]
+        assert reasons == {MAX_ITERS, CONVERGED}
 
     def test_equal_means_donor_is_the_flagged_group(self):
         # groups 0 and 1 both cover everything, but only group 1's window
