@@ -48,6 +48,7 @@ from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_cali
 from .intervals import band_pieces, union_components, union_covered
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
+    _evaluate_band,
     _resolve_band,
     comparison_header,
     comparison_row,
@@ -300,14 +301,15 @@ def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
     return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
 
 
-def _write_predictions(path, test, model, calibrator) -> None:
+def _write_predictions(path, test, band) -> None:
     """One row per test record; ``width`` is the merged union's width.
 
-    Each block of records takes one pass of the interval kernel; merging,
+    ``band`` is what ``metrics._resolve_band`` returned for ``test``. Each
+    block of records takes one pass of the interval kernel; merging,
     coverage and width are numpy passes over it. Only the text is per
     record, and it is the text of :class:`IntervalSet` for the record.
     """
-    q_lo, q_hi, partition, r_hat, _, fallback, _ = _resolve_band(test, model, calibrator)
+    q_lo, q_hi, partition, r_hat, _, fallback, _ = band
     bounds = np.asarray(partition.bounds)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -337,8 +339,9 @@ def cmd_evaluate(o) -> Step:
     group_count = calibrator.group_count if isinstance(calibrator, ThresholdTable) else None
     test = _load_data(o, o.data, group_count)
     model = _load_model(o.model)
-    _write_text(o, "report.json", report_to_json(evaluate(test, model, calibrator)))
-    _write_predictions(os.path.join(o.out_dir, "predictions.csv"), test, model, calibrator)
+    band = _resolve_band(test, model, calibrator)
+    _write_text(o, "report.json", report_to_json(_evaluate_band(test, calibrator.alpha, band)))
+    _write_predictions(os.path.join(o.out_dir, "predictions.csv"), test, band)
     inputs = [path for path in (o.data, o.calibrator, o.model) if path]
     return Step(inputs, ["report.json", "predictions.csv"])
 

@@ -256,6 +256,105 @@ def _inc_slope(cell: np.ndarray, k: int, current: float) -> float:
     return max(0.0, cell.item(k) - base) / cell.size
 
 
+class _MoveStream:
+    """One group's greedy moves in one direction, from the state it was built on.
+
+    Drops (``sign`` -1) take the first bin with the largest decrease slope
+    at every step, adds (+1) the first bin with the smallest increase
+    slope. A bin's slopes, read from its covering order statistic outwards,
+    are not monotone, but a bin is only reached through its earlier moves,
+    so the greedy takes the moves in a stable sort of their running
+    minimum (drops) or maximum (adds): ties go to the lower bin, then the
+    earlier move. Drops end at a bin's first zero slope, a tie that cannot
+    move, so a group whose stream is spent is exhausted or tie-locked.
+
+    ``bins[j]``, ``ks[j]``, ``thrs[j]`` and ``slopes[j]`` are move ``j``'s
+    bin, the bin's covered count and threshold after it, and the slope
+    the trace records. ``mu[t]`` is the group mean after ``t`` moves,
+    computed in chunks as runs ask for it; ``pos`` is the group's state.
+    """
+
+    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], sign: int):
+        self.sign = sign
+        self.sizes = np.array(sizes)
+        self.k_end = np.array(k)  # covered counts at state mu.size - 1
+        self.mu = reduce(add, (self.k_end / self.sizes)[:, None]) / len(sizes)
+        self.pos = 0
+        # one row per bin: its sorted scores, padded with +inf; a bin's
+        # moves lie along its row, deepest last
+        width = max(sizes)
+        padded = np.full((len(sizes), width + 1), np.inf)
+        for row, c in zip(padded, cells):
+            row[: c.size] = c
+        flat = padded.ravel()
+        start = np.arange(len(sizes))[:, None] * (width + 1)
+        k0, size = self.k_end[:, None], self.sizes[:, None]
+        if sign < 0:
+            # depth j drops score k-1-j, so the threshold lands on k-2-j
+            at = k0 - 1 - np.arange(max(width - 1, 1))
+            idx = start + np.maximum(at, 1)
+            gaps = np.where(at >= 1, (flat[idx] - flat[idx - 1]) / size, 0.0)
+            keys = np.minimum.accumulate(gaps, axis=1)
+            moves = np.flatnonzero(keys > 0.0)  # each bin up to its first tie
+            order = moves[np.argsort(-keys.ravel()[moves], kind="stable")]
+            bins, depth = np.divmod(order, keys.shape[1])
+            self.ks = self.k_end[bins] - 1 - depth
+            self.deltas = np.full(order.size, -1)
+            self.thrs = flat[bins * (width + 1) + self.ks - 1]
+        else:
+            # depth j covers score k+j with its ties; only a bin's first
+            # score of each value is a move, the others step by zero
+            at = k0 + np.arange(width)
+            scores = flat[start + np.minimum(at, width)]
+            base = np.where(self.k_end > 0, flat[start[:, 0] + np.maximum(self.k_end - 1, 0)], thr)
+            below = np.concatenate((base[:, None], scores[:, :-1]), axis=1)
+            real = at < size
+            gaps = np.zeros_like(scores)
+            np.subtract(scores, below, out=gaps, where=real)
+            gaps /= size
+            keys = np.maximum.accumulate(gaps, axis=1)
+            moves = np.flatnonzero(real & (scores != below))
+            move_bins, depth = np.divmod(moves, width)
+            reach = np.append(depth[1:], 0)  # depth of the bin's next move
+            last = np.append(move_bins[1:] != move_bins[:-1], True)
+            reach[last] = (self.sizes - self.k_end)[move_bins[last]]
+            rank = np.argsort(keys.ravel()[moves], kind="stable")
+            order, bins = moves[rank], move_bins[rank]
+            self.ks = self.k_end[bins] + reach[rank]
+            self.deltas = (reach - depth)[rank]
+            self.thrs = scores.ravel()[order]
+        self.bins, self.slopes, self.size = bins, gaps.ravel()[order], order.size
+
+    def follow(self, sign: int, m: int, km: int) -> bool:
+        """Step past the next move if it is this one; False otherwise."""
+        j = self.pos
+        if sign != self.sign or j == self.size or self.bins[j] != m or self.ks[j] != km:
+            return False
+        self.pos += 1
+        return True
+
+    def span(self, inside, limit: int) -> int:
+        """How many states from ``pos`` on, at most ``limit``, have a mean
+        that ``inside`` accepts; the mean one state further is computed too."""
+        while True:
+            have = self.mu.size
+            out = np.flatnonzero(~inside(self.mu[self.pos :]))
+            if out.size or have > self.size or have - self.pos > limit:
+                return min(out[0] if out.size else have - self.pos, limit)
+            self._extend(min(self.size + 1, have + max(64, have - self.pos)))
+
+    def _extend(self, upto: int) -> None:
+        # states mu.size .. upto-1; a group mean adds its bins in order, as
+        # the move loop's reduce(add) does
+        moves = np.arange(self.mu.size - 1, upto - 1)
+        d = np.zeros((self.sizes.size, moves.size), dtype=np.int64)
+        d[self.bins[moves], np.arange(moves.size)] = self.deltas[moves]
+        k = np.cumsum(d, axis=1)
+        k += self.k_end[:, None]
+        self.k_end = k[:, -1]
+        self.mu = np.concatenate((self.mu, reduce(add, k / self.sizes[:, None]) / self.sizes.size))
+
+
 def slope_decrease(cell_scores, r_hat: float) -> float:
     """Width saved per record by covering exactly one fewer record.
 
@@ -444,7 +543,94 @@ def eoc_optimize(
         thr[s][m] = new_thr
         k[s][m] = km
         refresh(s, m)
+        if streams[s] is not None and not streams[s].follow(offset, m, km):
+            streams[s] = None
         return True
+
+    streams: list[_MoveStream | None] = [None] * s_groups
+
+    def stream(s: int, sign: int) -> _MoveStream:
+        if streams[s] is None or streams[s].sign != sign:
+            streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign)
+        return streams[s]
+
+    def run(over: list[int], under: list[int], s1: int, s2: int) -> int:
+        # Takes the paired exchanges ahead, from donor s1 and recipient s2
+        # on, as one run and returns how many. Donors only fall and
+        # recipients only rise, so the picks are the donors' before-move
+        # means sorted descending and the recipients' sorted ascending,
+        # ties to the lower group, then the earlier move. A run stops
+        # before a donor with no move left or a full recipient, and after a
+        # move that carries its group across its window.
+        nonlocal covered
+        if stream(s1, -1).pos == streams[s1].size or stream(s2, 1).pos == streams[s2].size:
+            return 0
+        budget = max_iters - len(iterations)
+        sides = []
+        for groups_, sign in ((over, -1), (under, 1)):
+            mus, gs, ts = [], [], []
+            for s in groups_:
+                st = stream(s, sign)
+                if sign < 0:
+                    n = st.span(lambda v: v - level > slack[s], budget)
+                else:
+                    n = st.span(lambda v: v < floor, budget)
+                mus.append(st.mu[st.pos : st.pos + n])
+                gs.append(np.full(n, s))
+                ts.append(np.arange(st.pos, st.pos + n))
+            mus, gs, ts = map(np.concatenate, (mus, gs, ts))
+            order = np.lexsort((ts, gs, sign * mus))[:budget]
+            sides.append((gs[order], ts[order]))
+        (g1, t1), (g2, t2) = sides
+        n = min(g1.size, g2.size)
+        ends = np.array([st.size if st is not None else -1 for st in streams])
+        stall = np.flatnonzero((t1[:n] == ends[g1[:n]]) | (t2[:n] == ends[g2[:n]]))
+        if stall.size:
+            n = int(stall[0])
+        if n == 0:
+            return 0
+        g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
+        m1, m2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        d_slopes, i_slopes = np.empty(n), np.empty(n)
+        means = np.tile(mu, (n, 1))
+        for g, t, bins, slopes in ((g1, t1, m1, d_slopes), (g2, t2, m2, i_slopes)):
+            for s in np.unique(g).tolist():
+                st, mine = streams[s], g == s
+                bins[mine] = st.bins[t[mine]]
+                slopes[mine] = st.slopes[t[mine]]
+                means[:, s] = st.mu[st.pos + np.cumsum(mine)]
+        # stop after a move that carries its group across its window
+        rows = np.arange(n)
+        fall, rise = means[rows, g1], means[rows, g2]
+        crossed = np.flatnonzero((fall < floor) | (rise - level > np.asarray(slack)[g2]))
+        if crossed.size:
+            n = int(crossed[0]) + 1
+        first = len(iterations) + 1
+        iterations.extend(
+            map(
+                IterationRecord,
+                range(first, first + n),
+                g1[:n].tolist(),
+                g2[:n].tolist(),
+                (m1[:n] + 1).tolist(),
+                (m2[:n] + 1).tolist(),
+                d_slopes[:n].tolist(),
+                i_slopes[:n].tolist(),
+                map(tuple, means[:n].tolist()),
+            )
+        )
+        for s in set(g1[:n].tolist()) | set(g2[:n].tolist()):
+            st = streams[s]
+            a, b = st.pos, st.pos + int(np.count_nonzero(g1[:n] == s) + np.count_nonzero(g2[:n] == s))
+            changed = st.bins[a:b].tolist()
+            for m, km, t in zip(changed, st.ks[a:b].tolist(), st.thrs[a:b].tolist()):
+                k[s][m], thr[s][m] = km, t
+            for m in set(changed):
+                refresh(s, m)
+            covered += int(st.deltas[a:b].sum())
+            mu[s] = st.mu.item(b)
+            st.pos = b
+        return n
 
     iterations: list[IterationRecord] = []
     mu = [group_mean(s) for s in groups]
@@ -472,7 +658,7 @@ def eoc_optimize(
     slack = (stop + eps).tolist()
     floor = level - eps
     reason: str | None = None
-    for _ in range(max_iters):
+    while len(iterations) < max_iters:
         over = [s for s in groups if mu[s] - level > slack[s]]
         under = [s for s in groups if mu[s] < floor]
         if not over and not under:
@@ -481,6 +667,8 @@ def eoc_optimize(
         if over and under:
             s1 = max(over, key=mu.__getitem__)
             s2 = min(under, key=mu.__getitem__)
+            if run(over, under, s1, s2):
+                continue
         elif over:
             s1, s2 = max(groups, key=mu.__getitem__), -1  # every group at or above level
         else:
@@ -530,21 +718,26 @@ def eoc_optimize(
         cell_group = np.tile(np.arange(s_groups), m_bins)  # group of each raveled cell
         same_group = cell_group[:, None] == cell_group[None, :]
         ceiling = (level + stop + eps)[cell_group]
+        # A cap that stops either pass while it still has a move to make
+        # ends the run as max_iters.
         progress = True
-        while progress and len(iterations) < max_iters:
+        while progress and reason == CONVERGED:
             progress = False
 
-            while covered > k_floor and len(iterations) < max_iters:
+            while covered > k_floor:
                 gain = np.where(np.array(mu) - quantum >= level - eps, np.array(dec).T, -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] == -np.inf:
+                    break
+                if len(iterations) == max_iters:
+                    reason = MAX_ITERS
                     break
                 d_slope = dec[s1][m1]
                 shift(s1, m1, -1)
                 progress = True
                 record(s1, -1, m1, 0, d_slope, math.nan)
 
-            while len(iterations) < max_iters:
+            while reason == CONVERGED:
                 # rows: the donor cell, columns: the recipient cell
                 mu1 = (np.array(mu) - quantum).ravel()[:, None]
                 mu2 = (np.array(mu) + quantum).ravel()[None, :]
@@ -559,6 +752,9 @@ def eoc_optimize(
                 np.fill_diagonal(gain, -np.inf)
                 a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
                 if gain[a, b] <= 0.0:
+                    break
+                if len(iterations) == max_iters:
+                    reason = MAX_ITERS
                     break
                 (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
                 d_slope, i_slope = dec[s1][m1], inc[s2][m2]

@@ -153,10 +153,13 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalRepo
     predictions come from the model median when available, otherwise the
     midpoint of the raw band.
     """
-    q_lo, q_hi, partition, r_hat, point, fallback, point_source = _resolve_band(
-        test, model, calibrator
-    )
-    alpha = calibrator.alpha
+    band = _resolve_band(test, model, calibrator)  # rejects an unsupported calibrator first
+    return _evaluate_band(test, calibrator.alpha, band)
+
+
+def _evaluate_band(test: Dataset, alpha: float, band) -> EvalReport:
+    """:func:`evaluate` on a band :func:`_resolve_band` returned for ``test``."""
+    q_lo, q_hi, partition, r_hat, point, fallback, point_source = band
     a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
     covered = union_covered(a, b, test.y, fallback)
     width, has_piece = union_widths(a, b)  # last: it reuses b

@@ -14,6 +14,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The optimizer's properties with a larger budget, for a CI job of its own:
+# pytest tests/test_fair_calibration.py --hypothesis-profile thorough
+settings.register_profile(
+    "thorough",
+    derandomize=True,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("suite")
 
 

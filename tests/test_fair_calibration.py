@@ -503,12 +503,51 @@ def multi_sample_adds(trace, counts):
     return hits
 
 
+def window_crossings(trace, state0, alpha):
+    """(step, group) of each move that lifts its recipient from below the
+    target to above its window, as an add that covers tied scores can."""
+    counts = state0.cell_counts
+    stop = (1.0 / counts.min(axis=0)) / counts.shape[0]
+    level, eps = 1.0 - alpha, 1e-12
+    hits, before = [], trace.initial_per_group_mean
+    for it in trace.iterations:
+        s = it.recipient_group
+        if s >= 0 and before[s] < level - eps and it.per_group_mean[s] - level > stop[s] + eps:
+            hits.append((it.step, s))
+        before = it.per_group_mean
+    return hits
+
+
+def locked_after_moving(trace, kinds):
+    """Steps of exchanges whose donor could not move, right after an
+    exchange whose donor did: the recipient still takes its add."""
+    means = [trace.initial_per_group_mean] + [it.per_group_mean for it in trace.iterations]
+    steps = []
+    for i in range(1, len(kinds)):
+        if kinds[i - 1] == kinds[i] == "exchange":
+            a, b = trace.iterations[i - 1].donor_group, trace.iterations[i].donor_group
+            if means[i][a] < means[i - 1][a] and means[i + 1][b] == means[i][b]:
+                steps.append(i + 1)
+    return steps
+
+
 def tie_locked():
     # Group 0's six scores are tied, group 1's are 1..6. Exchanges whose
     # tied drop cannot move still lift group 1 to the target; group 0 then
     # sits above its window alone, and its lone drop lands on a tied order
     # statistic, so nothing can move.
     return point_band_dataset([(1.0,) * 6, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
+
+
+@st.composite
+def calibration_cases(draw, groups=(2, 5), min_cell=1):
+    s_groups = draw(st.integers(*groups))
+    m_bins = draw(st.integers(1, 8))
+    smallest = max(6, min_cell * m_bins * s_groups)
+    n = draw(st.integers(smallest, smallest + 120))
+    ties = draw(st.integers(0, 2)) == 0  # a third of the sets
+    data = calibration_set(draw(st.integers(0, 2**32 - 1)), s_groups, n, ties=ties)
+    return data, m_bins, draw(st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5)))
 
 
 class TestOptimizerMatchesReference:
@@ -592,15 +631,16 @@ class TestOptimizerMatchesReference:
 
     def test_benchmark_shape_iteration_caps(self):
         # the uncapped run makes 52 exchanges, 18 lone drops, then descents
-        # and trims up to move 80; caps land in each phase
+        # and trims up to move 80; caps land in each phase. A cap that cuts
+        # the cleanup short is max_iters; at 80 the cleanup ends on its own.
         data = calibration_set(300, 4, 3000, ties=0.1)
-        lengths, reasons = [], set()
-        for max_iters in (1, 40, 60, 72, 76, 79):
+        lengths, reasons = [], []
+        for max_iters in (1, 40, 60, 72, 76, 79, 80):
             trace, _ = self.assert_same(data, 32, 0.2, max_iters=max_iters)
             lengths.append(len(trace.iterations))
-            reasons.add(trace.termination_reason)
-        assert lengths == [1, 40, 60, 72, 76, 79]
-        assert reasons == {MAX_ITERS, CONVERGED}
+            reasons.append(trace.termination_reason)
+        assert lengths == [1, 40, 60, 72, 76, 79, 80]
+        assert reasons == [MAX_ITERS] * 6 + [CONVERGED]
 
     def test_equal_means_donor_is_the_flagged_group(self):
         # groups 0 and 1 both cover everything, but only group 1's window
@@ -613,16 +653,51 @@ class TestOptimizerMatchesReference:
         assert trace.initial_per_group_mean[:2] == (1.0, 1.0)
         assert trace.iterations[0].donor_group == 1
 
+    # Paired exchanges are taken in runs; the next four tests stop a run
+    # at each of its boundaries.
 
-@st.composite
-def calibration_cases(draw, groups=(2, 5), min_cell=1):
-    s_groups = draw(st.integers(*groups))
-    m_bins = draw(st.integers(1, 8))
-    smallest = max(6, min_cell * m_bins * s_groups)
-    n = draw(st.integers(smallest, smallest + 120))
-    ties = draw(st.integers(0, 2)) == 0  # a third of the sets
-    data = calibration_set(draw(st.integers(0, 2**32 - 1)), s_groups, n, ties=ties)
-    return data, m_bins, draw(st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5)))
+    def test_tied_add_carries_a_recipient_across_its_window(self):
+        # group 1 jumps from under the target to over its window while
+        # group 0 is still under it, and donates to group 0 next
+        data = calibration_set(198, 4, 209, ties=0.2)
+        trace, kinds = self.assert_same(data, 7, 0.5)
+        crossings = window_crossings(trace, seeded(data, 7, 0.5)[1], 0.5)
+        assert any(
+            kinds[step] == "exchange" and trace.iterations[step].donor_group == s
+            for step, s in crossings
+        )
+
+    def test_tie_locked_donor_is_paired_inside_a_run(self):
+        data = calibration_set(59, 4, 94, ties=0.2)
+        trace, kinds = self.assert_same(data, 5, 0.5)
+        assert locked_after_moving(trace, kinds)
+
+    def test_donor_runs_out_mid_run(self):
+        # group 3's last covered samples sit one to a cell while it is
+        # still above its window, after exchanges that drained it
+        data = calibration_set(2732, 4, 47)
+        table, trace = eoc_optimize(data, None, *seeded(data, 7, 0.5), 0.5)
+        _, kinds = self.assert_same(data, 7, 0.5)
+        assert trace.termination_reason == SLOPE_CROSSOVER
+        assert kinds[-2:] == ["exchange", "exchange"]
+        donor = trace.iterations[-1].donor_group
+        state = measure_coverage(data, None, table)
+        assert np.rint(state.beta[:, donor] * state.cell_counts[:, donor]).max() == 1
+        level, stop = 0.5, 1.0 / (7 * state.cell_counts[:, donor].min())
+        assert state.per_group_mean[donor] - level > stop
+
+    def test_iteration_cap_lands_mid_run(self):
+        data = calibration_set(7, 5, 300)
+        full, kinds = self.assert_same(data, 8, 0.3)
+        cap = kinds.index("exchange") + 3
+        assert kinds[cap - 1] == kinds[cap] == "exchange"
+        trace, _ = self.assert_same(data, 8, 0.3, max_iters=cap)
+        assert trace.termination_reason == MAX_ITERS
+        assert trace.iterations == full.iterations[:cap]
+
+    @given(calibration_cases(), st.one_of(st.none(), st.integers(1, 100)))
+    def test_matches_reference_on_random_sets(self, case, max_iters):
+        self.assert_same(*case, max_iters=max_iters)
 
 
 class TestOptimizerProperties:
@@ -822,11 +897,13 @@ def _reference_eoc_optimize(
         # same-group rebalance is allowed even when its drop alone would
         # dip below the target. Stops at the slope crossover, where no
         # exchange pays for itself.
+        # A cap that stops either pass while it still has a move to make
+        # ends the run as max_iters.
         progress = True
-        while progress and len(iterations) < max_iters:
+        while progress and reason == CONVERGED:
             progress = False
 
-            while int(k.sum()) > k_floor and len(iterations) < max_iters:
+            while int(k.sum()) > k_floor:
                 mu = group_means()
                 best = None
                 for m in range(m_bins):
@@ -841,12 +918,15 @@ def _reference_eoc_optimize(
                                 best = (slope, m, s)
                 if best is None:
                     break
+                if len(iterations) == max_iters:
+                    reason = MAX_ITERS
+                    break
                 d_slope, m1, s1 = best
                 shift(m1, s1, -1)
                 progress = True
                 record(s1, -1, m1, 0, d_slope, np.nan)
 
-            while len(iterations) < max_iters:
+            while reason == CONVERGED:
                 mu = group_means()
                 decs = [
                     (_dec_slope(cells[m][s], int(k[m, s])), m, s)
@@ -880,6 +960,9 @@ def _reference_eoc_optimize(
                             best_gain = d_slope - i_slope
                             move = (m1, s1, m2, s2, d_slope, i_slope)
                 if move is None:
+                    break
+                if len(iterations) == max_iters:
+                    reason = MAX_ITERS
                     break
                 m1, s1, m2, s2, d_slope, i_slope = move
                 shift(m1, s1, -1)

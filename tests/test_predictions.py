@@ -192,7 +192,7 @@ def test_writer_matches_reference_bytes(tmp_path, name, model):
     calibrator = CALIBRATORS[name]
     test = adversarial_records()
     path = tmp_path / "predictions.csv"
-    _write_predictions(str(path), test, model, calibrator)
+    _write_predictions(str(path), test, _resolve_band(test, model, calibrator))
     with open(path, newline="") as fh:
         written = fh.read()
     assert written == reference_csv(test, model, calibrator)
@@ -266,7 +266,7 @@ def test_writer_matches_reference_across_blocks(tmp_path_factory, case, block):
     path = tmp_path_factory.mktemp("predictions") / "predictions.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_WRITE_BLOCK", block)  # up to 12 records: several blocks
-        _write_predictions(str(path), test, None, calibrator)
+        _write_predictions(str(path), test, _resolve_band(test, None, calibrator))
     with open(path, newline="") as fh:
         assert fh.read() == reference_csv(test, None, calibrator)
 
@@ -297,7 +297,7 @@ def test_report_and_writer_clip_the_fallback_to_the_calibration_domain(tmp_path)
     test = make_dataset([8.0], [0], q_lo=[8.5], q_hi=[9.5], domain=(0.0, 8.0), group_count=2)
     calibrator = CALIBRATORS["all_empty"]
     path = tmp_path / "predictions.csv"
-    _write_predictions(str(path), test, None, calibrator)
+    _write_predictions(str(path), test, _resolve_band(test, None, calibrator))
     with open(path, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     report = evaluate(test, None, calibrator)
