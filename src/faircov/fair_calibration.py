@@ -266,7 +266,10 @@ class _MoveStream:
     so the greedy takes the moves in a stable sort of their running
     minimum (drops) or maximum (adds): ties go to the lower bin, then the
     earlier move. Drops end at a bin's first zero slope, a tie that cannot
-    move, so a group whose stream is spent is exhausted or tie-locked.
+    move, so a group whose stream is spent is exhausted or tie-locked, or
+    has fallen by ``reach``: a drop lowers the group mean by one sample of
+    its bin, so no bin is read deeper than ``reach`` needs, and the stream
+    ends where a bin cut short would have to go on.
 
     ``bins[j]``, ``ks[j]``, ``thrs[j]`` and ``slopes[j]`` are move ``j``'s
     bin, the bin's covered count and threshold after it, and the slope
@@ -274,54 +277,63 @@ class _MoveStream:
     computed in chunks as runs ask for it; ``pos`` is the group's state.
     """
 
-    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], sign: int):
+    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], sign: int, reach: float):
         self.sign = sign
         self.sizes = np.array(sizes)
         self.k_end = np.array(k)  # covered counts at state mu.size - 1
         self.mu = reduce(add, (self.k_end / self.sizes)[:, None]) / len(sizes)
         self.pos = 0
-        # one row per bin: its sorted scores, padded with +inf; a bin's
-        # moves lie along its row, deepest last
-        width = max(sizes)
-        padded = np.full((len(sizes), width + 1), np.inf)
-        for row, c in zip(padded, cells):
-            row[: c.size] = c
-        flat = padded.ravel()
-        start = np.arange(len(sizes))[:, None] * (width + 1)
-        k0, size = self.k_end[:, None], self.sizes[:, None]
+        m_bins, size = len(sizes), self.sizes[:, None]
         if sign < 0:
-            # depth j drops score k-1-j, so the threshold lands on k-2-j
-            at = k0 - 1 - np.arange(max(width - 1, 1))
-            idx = start + np.maximum(at, 1)
-            gaps = np.where(at >= 1, (flat[idx] - flat[idx - 1]) / size, 0.0)
+            # row m: the bin's covered scores from the top, as deep as the
+            # drops that can matter, then its last score repeated
+            need = (reach * m_bins * self.sizes).astype(np.int64) + 2
+            depth = np.clip(np.minimum(self.k_end - 1, need), 0, None)
+            top = np.empty((m_bins, int(depth.max()) + 2))
+            for row, c, km, d in zip(top, cells, np.maximum(self.k_end, 1).tolist(), depth.tolist()):
+                row[: d + 1] = c[km - 1 - d : km][::-1]
+                row[d + 1 :] = row[d]
+            gaps = (top[:, :-1] - top[:, 1:]) / size  # move j lands on row[j + 1]
             keys = np.minimum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(keys > 0.0)  # each bin up to its first tie
-            order = moves[np.argsort(-keys.ravel()[moves], kind="stable")]
-            bins, depth = np.divmod(order, keys.shape[1])
-            self.ks = self.k_end[bins] - 1 - depth
+            rank = np.argsort(-keys.ravel()[moves], kind="stable")
+            order = moves[rank]
+            bins, j = np.divmod(order, gaps.shape[1])
+            self.ks = self.k_end[bins] - 1 - j
             self.deltas = np.full(order.size, -1)
-            self.thrs = flat[bins * (width + 1) + self.ks - 1]
+            self.thrs = top[bins, j + 1]
+            counts = np.count_nonzero(keys > 0.0, axis=1)
+            short = np.flatnonzero((depth < self.k_end - 1) & (counts == depth))
+            if short.size:
+                # exact only while every bin cut short still has its moves
+                sorted_at = np.empty_like(rank)
+                sorted_at[rank] = np.arange(rank.size)
+                end = int(sorted_at[(np.cumsum(counts) - 1)[short]].min()) + 1
+                order, bins = order[:end], bins[:end]
+                self.ks, self.deltas, self.thrs = self.ks[:end], self.deltas[:end], self.thrs[:end]
         else:
-            # depth j covers score k+j with its ties; only a bin's first
-            # score of each value is a move, the others step by zero
-            at = k0 + np.arange(width)
-            scores = flat[start + np.minimum(at, width)]
-            base = np.where(self.k_end > 0, flat[start[:, 0] + np.maximum(self.k_end - 1, 0)], thr)
+            # row m: the bin's uncovered scores, then +inf; only a bin's
+            # first score of each value is a move, the others step by zero
+            tails = self.sizes - self.k_end
+            scores = np.full((m_bins, int(tails.max()) + 1), np.inf)
+            for row, c, km in zip(scores, cells, k):
+                row[: c.size - km] = c[km:]
+            base = np.array([c.item(km - 1) if km else t for c, km, t in zip(cells, k, thr)])
             below = np.concatenate((base[:, None], scores[:, :-1]), axis=1)
-            real = at < size
+            real = np.arange(scores.shape[1]) < tails[:, None]
             gaps = np.zeros_like(scores)
             np.subtract(scores, below, out=gaps, where=real)
             gaps /= size
             keys = np.maximum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(real & (scores != below))
-            move_bins, depth = np.divmod(moves, width)
-            reach = np.append(depth[1:], 0)  # depth of the bin's next move
+            move_bins, j = np.divmod(moves, scores.shape[1])
+            next_j = np.append(j[1:], 0)  # where the bin's next move starts
             last = np.append(move_bins[1:] != move_bins[:-1], True)
-            reach[last] = (self.sizes - self.k_end)[move_bins[last]]
+            next_j[last] = tails[move_bins[last]]
             rank = np.argsort(keys.ravel()[moves], kind="stable")
             order, bins = moves[rank], move_bins[rank]
-            self.ks = self.k_end[bins] + reach[rank]
-            self.deltas = (reach - depth)[rank]
+            self.ks = self.k_end[bins] + next_j[rank]
+            self.deltas = (next_j - j)[rank]
             self.thrs = scores.ravel()[order]
         self.bins, self.slopes, self.size = bins, gaps.ravel()[order], order.size
 
@@ -551,7 +563,8 @@ def eoc_optimize(
 
     def stream(s: int, sign: int) -> _MoveStream:
         if streams[s] is None or streams[s].sign != sign:
-            streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign)
+            reach = mu[s] - level - slack[s]  # how far a donor is to fall
+            streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign, reach)
         return streams[s]
 
     def run(over: list[int], under: list[int], s1: int, s2: int) -> int:
@@ -592,19 +605,34 @@ def eoc_optimize(
         g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
         m1, m2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         d_slopes, i_slopes = np.empty(n), np.empty(n)
-        means = np.tile(mu, (n, 1))
+        rise = np.empty(n)  # the recipient's mean after each move
         for g, t, bins, slopes in ((g1, t1, m1, d_slopes), (g2, t2, m2, i_slopes)):
-            for s in np.unique(g).tolist():
+            for s in set(g.tolist()):
                 st, mine = streams[s], g == s
                 bins[mine] = st.bins[t[mine]]
                 slopes[mine] = st.slopes[t[mine]]
-                means[:, s] = st.mu[st.pos + np.cumsum(mine)]
-        # stop after a move that carries its group across its window
-        rows = np.arange(n)
-        fall, rise = means[rows, g1], means[rows, g2]
-        crossed = np.flatnonzero((fall < floor) | (rise - level > np.asarray(slack)[g2]))
+                rise[mine] = st.mu[t[mine] + 1]  # donors' entries are overwritten next
+        # Stop after an add that carries its group past its window. A drop
+        # cannot carry its donor under the target: the window is at least
+        # one move wide.
+        crossed = np.flatnonzero(rise - level > np.asarray(slack)[g2])
         if crossed.size:
             n = int(crossed[0]) + 1
+        # a waiting group's mean stays one float object, as in record()
+        cols = [[mu[s]] * n for s in groups]
+        for g in (g1[:n], g2[:n]):
+            for s in set(g.tolist()):
+                st, moved = streams[s], np.cumsum(g == s)
+                a, b = st.pos, st.pos + int(moved[-1])
+                states = st.mu[a : b + 1].tolist()
+                cols[s] = list(map(states.__getitem__, moved.tolist()))
+                changed = st.bins[a:b].tolist()
+                for m, km, t in zip(changed, st.ks[a:b].tolist(), st.thrs[a:b].tolist()):
+                    k[s][m], thr[s][m] = km, t
+                for m in set(changed):
+                    refresh(s, m)
+                covered += int(st.deltas[a:b].sum())
+                mu[s], st.pos = states[-1], b
         first = len(iterations) + 1
         iterations.extend(
             map(
@@ -616,20 +644,9 @@ def eoc_optimize(
                 (m2[:n] + 1).tolist(),
                 d_slopes[:n].tolist(),
                 i_slopes[:n].tolist(),
-                map(tuple, means[:n].tolist()),
+                zip(*cols),
             )
         )
-        for s in set(g1[:n].tolist()) | set(g2[:n].tolist()):
-            st = streams[s]
-            a, b = st.pos, st.pos + int(np.count_nonzero(g1[:n] == s) + np.count_nonzero(g2[:n] == s))
-            changed = st.bins[a:b].tolist()
-            for m, km, t in zip(changed, st.ks[a:b].tolist(), st.thrs[a:b].tolist()):
-                k[s][m], thr[s][m] = km, t
-            for m in set(changed):
-                refresh(s, m)
-            covered += int(st.deltas[a:b].sum())
-            mu[s] = st.mu.item(b)
-            st.pos = b
         return n
 
     iterations: list[IterationRecord] = []

@@ -37,6 +37,7 @@ from faircov.fair_calibration import (
     _covered_count,
     _dec_slope,
     _inc_slope,
+    _MoveStream,
     eoc_optimize,
 )
 
@@ -698,6 +699,21 @@ class TestOptimizerMatchesReference:
     @given(calibration_cases(), st.one_of(st.none(), st.integers(1, 100)))
     def test_matches_reference_on_random_sets(self, case, max_iters):
         self.assert_same(*case, max_iters=max_iters)
+
+    def test_drop_stream_read_shallow_is_a_prefix(self):
+        # a donor that only needs to fall a little reads each bin's top
+        # scores alone; its moves are the first of the full stream's
+        data = calibration_set(5, 3, 900, ties=0.05)
+        table0, state0 = seeded(data, 4, 0.1)
+        cells = [state0.cells.cells[m][0] for m in range(4)]
+        thr = table0.r_hat[:, 0].tolist()
+        k = [_covered_count(c, t) for c, t in zip(cells, thr)]
+        sizes = [c.size for c in cells]
+        full = _MoveStream(cells, sizes, k, thr, -1, 1.0)
+        short = _MoveStream(cells, sizes, k, thr, -1, 0.01)
+        assert 0 < short.size < full.size
+        for name in ("bins", "ks", "thrs", "slopes"):
+            assert getattr(short, name).tobytes() == getattr(full, name)[: short.size].tobytes()
 
 
 class TestOptimizerProperties:
