@@ -13,16 +13,24 @@ scores it covers, so during optimization thresholds are re-expressed on
 the cell score order statistics; moving to the adjacent order statistic
 is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
-width-bounded. Every move is picked from two slope tables, which a move
-refreshes only for the cells it changes.
+width-bounded.
 
-The optimizer's state is Python ints and floats in group-major lists, so
-a move does scalar work without numpy. A group's mean is its bins'
-coverage rates added in bin order with ``reduce(add)``, never ``sum``:
-that is numpy's axis-0 reduction of the (M, S) rates bit for bit, while
-the builtin ``sum`` compensates from Python 3.12 on. The means decide
-tie breaks and go into the trace, so their last bit is part of the
-output.
+A group's moves depend only on its own cells, so each group's greedy
+moves in one direction are built at once in numpy as a move stream, and
+the paired exchanges are taken in runs, each a merge of the donors' and
+the recipients' streams by their group means. Single moves, picked from
+two slope tables that a move refreshes only for the cells it changes,
+remain for what a run cannot take: lone drops and adds, a donor that is
+exhausted or tie-locked, a recipient that is full, an add that carries
+its group past its window, the iteration cap and the width cleanup.
+
+A group's mean is its bins' coverage rates added in bin order, then
+divided by M: ``reduce(add)`` over Python floats in a single move, the
+same additions row by row over a stream's (M, moves) rates in a run.
+Both are numpy's axis-0 reduction of the (M, S) rates bit for bit, while
+the builtin ``sum`` compensates from Python 3.12 on and numpy's sum of
+one column adds partial sums. The means decide tie breaks and go into
+the trace, so their last bit is part of the output.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
 set (scores, bins, sorted cell scores, counts). A calibration makes three
@@ -353,7 +361,7 @@ class _MoveStream:
             out = np.flatnonzero(~inside(self.mu[self.pos :]))
             if out.size or have > self.size or have - self.pos > limit:
                 return min(out[0] if out.size else have - self.pos, limit)
-            self._extend(min(self.size + 1, have + max(64, have - self.pos)))
+            self._extend(min(self.size + 1, have + 256))
 
     def _extend(self, upto: int) -> None:
         # states mu.size .. upto-1; a group mean adds its bins in order, as
@@ -435,13 +443,15 @@ def eoc_optimize(
     nothing left to give, recipient already fully covered, a lone drop
     blocked by the covered-count floor, or tie-locked thresholds);
     ``max_iters`` at the iteration cap, returning the table reached so
-    far. Slopes are recorded per iteration so the width economics of
-    every move stay observable in the trace.
+    far, also when the cap cuts the width cleanup short while a pass still
+    has a move to make (a cleanup that ends on its own exactly at the cap
+    is ``converged``). Slopes are recorded per iteration so the width
+    economics of every move stay observable in the trace.
 
     Before iterating, every threshold is re-expressed on the covering
     order statistic of its cell, which releases pure slack as width
-    without touching coverage. Every phase then picks its moves from two
-    slope tables: the width saved by dropping each cell's top
+    without touching coverage. Every phase then takes the moves two
+    slope tables pick: the width saved by dropping each cell's top
     covered sample (``-inf`` where fewer than two are covered) and the
     width paid by covering its next one (``+inf`` where the cell is
     full), refreshed only for the cells a move changes. Ties go to the
@@ -459,18 +469,35 @@ def eoc_optimize(
     one more unless the newly covered score ties the next one; only then
     is the covered count searched again.
 
-    The state is Python scalars in group-major lists (entry ``[s][m]`` is
-    cell ``(m, s)``): covered counts, thresholds, coverage rates, the two
-    slope tables, the group means and the pooled covered count. Order
-    statistics are read one at a time with ``ndarray.item``. A group's
-    best cell is ``col.index(max(col))`` (or ``min``), the first of equal
-    candidates, as ``argmax`` picks it. A move recomputes only its
-    groups' means, as ``reduce(add, rates) / M``: the bins added in
-    order, the same bits as numpy's axis-0 reduction of the ``(M, S)``
-    rates. The means decide tie breaks and go into the trace, so the
-    summation order is part of the output: ``reduce(add)``, never
-    ``sum``, which compensates from Python 3.12 on. The cleanup builds
-    its ``(M, S)`` and ``(MS, MS)`` arrays from the lists on each move.
+    Paired exchanges are taken in runs. A group's moves depend only on
+    its own cells, so its greedy drops (or adds) are built once as a
+    stream: each cell's order-statistic spacings, read from the covering
+    one outwards, stably sorted by their running minimum (maximum for
+    adds), which is the order a first-of-equal pick over the slope table
+    takes them in. A cumsum of the stream's covered counts gives the
+    group mean after each of its moves. Within a run donor means only
+    fall and recipient means only rise, so the donor picks are the
+    donors' before-move means sorted descending and the recipient picks
+    the recipients' sorted ascending, ties to the lower group, then the
+    earlier move; the run's records are built from those arrays. A
+    stream stays valid while its group moves only its way, and reads a
+    donor's bins only as deep as its fall to the window can need.
+
+    Single moves keep Python scalars in group-major lists (entry
+    ``[s][m]`` is cell ``(m, s)``): covered counts, thresholds, coverage
+    rates, the two slope tables, the group means and the pooled covered
+    count. They take the steps a run cannot: lone drops and adds, an
+    exhausted or tie-locked donor, a full recipient, and the cleanup; a
+    run also ends after an add that carries its group past its window,
+    as the group may donate next. A group's best cell is
+    ``col.index(max(col))`` (or ``min``), the first of equal candidates,
+    as ``argmax`` picks it. A single move recomputes only its groups'
+    means, as ``reduce(add, rates) / M``; a stream adds the same bins in
+    the same order, row by row over its rates. The means decide tie
+    breaks and go into the trace, so the summation order is part of the
+    output: never the builtin ``sum``, which compensates from Python 3.12
+    on. The cleanup builds its ``(M, S)`` and ``(MS, MS)`` arrays from
+    the lists on each move.
 
     A ``state0`` of another calibration set or partition raises
     ValidationError. With a single group the input table is returned
@@ -493,6 +520,7 @@ def eoc_optimize(
     counts = cell_scores.counts
     groups = range(s_groups)
     cells = list(zip(*cell_scores.cells))
+    del cell_scores  # its (n,) scores and bins would outlive their use by the whole run
     sizes = counts.T.tolist()
     thr = np.asarray(table0.r_hat, dtype=np.float64).T.tolist()
     k = [[0] * m_bins for _ in groups]
@@ -573,8 +601,8 @@ def eoc_optimize(
         # recipients only rise, so the picks are the donors' before-move
         # means sorted descending and the recipients' sorted ascending,
         # ties to the lower group, then the earlier move. A run stops
-        # before a donor with no move left or a full recipient, and after a
-        # move that carries its group across its window.
+        # before a donor with no move left or a full recipient, and after an
+        # add that carries its group past its window.
         nonlocal covered
         if stream(s1, -1).pos == streams[s1].size or stream(s2, 1).pos == streams[s2].size:
             return 0
@@ -605,13 +633,13 @@ def eoc_optimize(
         g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
         m1, m2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         d_slopes, i_slopes = np.empty(n), np.empty(n)
-        rise = np.empty(n)  # the recipient's mean after each move
+        rise = np.empty(n)  # the mover's mean after each move; recipients' last
         for g, t, bins, slopes in ((g1, t1, m1, d_slopes), (g2, t2, m2, i_slopes)):
             for s in set(g.tolist()):
                 st, mine = streams[s], g == s
                 bins[mine] = st.bins[t[mine]]
                 slopes[mine] = st.slopes[t[mine]]
-                rise[mine] = st.mu[t[mine] + 1]  # donors' entries are overwritten next
+                rise[mine] = st.mu[t[mine] + 1]
         # Stop after an add that carries its group past its window. A drop
         # cannot carry its donor under the target: the window is at least
         # one move wide.
