@@ -2,8 +2,7 @@
 
 Data flows through the package as immutable column-oriented datasets.
 Labels live on a closed, explicitly configured domain (for example a
-clinical score range); group membership is a dense integer id with an
-optional display name kept in a sidecar tuple.
+clinical score range); group membership is a dense integer id.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,8 +95,6 @@ class Dataset:
         Raw lower/upper quantile predictions. Must satisfy ``q_lo <= q_hi``.
     features : ndarray, optional
         Feature matrix of shape (n, d); d may be zero.
-    group_names : tuple of str, optional
-        Display names, one per group id.
     """
 
     ids: tuple[str, ...]
@@ -108,7 +105,6 @@ class Dataset:
     q_lo: np.ndarray | None = None
     q_hi: np.ndarray | None = None
     features: np.ndarray | None = None
-    group_names: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
         y = _readonly(np.asarray(self.y, dtype=np.float64))
@@ -156,8 +152,6 @@ class Dataset:
             if not np.all(np.isfinite(feats)):
                 raise ValidationError("features must be finite")
             object.__setattr__(self, "features", _readonly(feats))
-        if self.group_names is not None and len(self.group_names) != self.group_count:
-            raise ValidationError("group_names must supply one name per group id")
 
     @property
     def n(self) -> int:
@@ -178,7 +172,6 @@ class Dataset:
             q_lo=None if self.q_lo is None else self.q_lo[idx],
             q_hi=None if self.q_hi is None else self.q_hi[idx],
             features=None if self.features is None else self.features[idx],
-            group_names=self.group_names,
         )
 
     def with_predictions(self, q_lo: np.ndarray, q_hi: np.ndarray) -> "Dataset":
@@ -192,7 +185,6 @@ class Dataset:
             q_lo=q_lo,
             q_hi=q_hi,
             features=self.features,
-            group_names=self.group_names,
         )
 
 

@@ -15,14 +15,14 @@ is exactly "cover one fewer (or one more) sample". Cells covering at
 most one record are never drained further, which keeps every exchange
 width-bounded.
 
-A group's moves depend only on its own cells, so each group's greedy
-moves in one direction are built at once in numpy as a move stream, and
-the paired exchanges are taken in runs, each a merge of the donors' and
-the recipients' streams by their group means. Single moves, picked from
-two slope tables that a move refreshes only for the cells it changes,
-remain for what a run cannot take: lone drops and adds, a donor that is
-exhausted or tie-locked, a recipient that is full, an add that carries
-its group past its window, the iteration cap and the width cleanup.
+A group's moves depend only on its own cells, so the paired exchanges
+are taken in runs: a run builds each of its donors' and recipients'
+greedy moves at once in numpy as a move stream, merges the streams by
+their group means, applies the moves and drops the streams. Single
+moves, picked from two slope tables that a move refreshes only for the
+cells it changes, remain for what a run cannot take: lone drops and
+adds, a donor that is exhausted or tie-locked, an add that carries its
+group past its window, the iteration cap and the width cleanup.
 
 A group's mean is its bins' coverage rates added in bin order, then
 divided by M: ``reduce(add)`` over Python floats in a single move, the
@@ -186,6 +186,8 @@ class IterationRecord:
     A paired exchange fills both sides. A one-sided rebalancing move
     (taken when no counterparty group sits on the other side of the
     target) marks the absent side with group -1, bin 0, and a NaN slope.
+    A tie-locked donor, whose best decrease slope is 0.0, cannot move: its
+    side records that cell and slope 0.0, and its mean is unchanged.
     """
 
     step: int
@@ -267,36 +269,34 @@ def _inc_slope(cell: np.ndarray, k: int, current: float) -> float:
 class _MoveStream:
     """One group's greedy moves in one direction, from the state it was built on.
 
-    Drops (``sign`` -1) take the first bin with the largest decrease slope
-    at every step, adds (+1) the first bin with the smallest increase
-    slope. A bin's slopes, read from its covering order statistic outwards,
-    are not monotone, but a bin is only reached through its earlier moves,
-    so the greedy takes the moves in a stable sort of their running
-    minimum (drops) or maximum (adds): ties go to the lower bin, then the
-    earlier move. Drops end at a bin's first zero slope, a tie that cannot
-    move, so a group whose stream is spent is exhausted or tie-locked, or
-    has fallen by ``reach``: a drop lowers the group mean by one sample of
-    its bin, so no bin is read deeper than ``reach`` needs, and the stream
-    ends where a bin cut short would have to go on.
+    A stream lives for one run: the run builds the streams of its donors
+    and recipients, takes its exchanges and drops them. Drops take the
+    first bin with the largest decrease slope at every step, adds the
+    first bin with the smallest increase slope. A bin's slopes, read from
+    its covering order statistic outwards, are not monotone, but a bin is
+    only reached through its earlier moves, so the greedy takes the moves
+    in a stable sort of their running minimum (drops) or maximum (adds):
+    ties go to the lower bin, then the earlier move. Drops read every
+    covered score and end at a bin's first zero slope, a tie that cannot
+    move, so a drop stream is empty exactly when no bin has a positive
+    decrease slope. An add stream has a move while any cell has room; a
+    recipient, below the target, always has one.
 
     ``bins[j]``, ``ks[j]``, ``thrs[j]`` and ``slopes[j]`` are move ``j``'s
     bin, the bin's covered count and threshold after it, and the slope
     the trace records. ``mu[t]`` is the group mean after ``t`` moves,
-    computed in chunks as runs ask for it; ``pos`` is the group's state.
+    computed in chunks as the run asks for it.
     """
 
-    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], sign: int, reach: float):
-        self.sign = sign
+    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], drop: bool):
         self.sizes = np.array(sizes)
         self.k_end = np.array(k)  # covered counts at state mu.size - 1
         self.mu = reduce(add, (self.k_end / self.sizes)[:, None]) / len(sizes)
-        self.pos = 0
         m_bins, size = len(sizes), self.sizes[:, None]
-        if sign < 0:
-            # row m: the bin's covered scores from the top, as deep as the
-            # drops that can matter, then its last score repeated
-            need = (reach * m_bins * self.sizes).astype(np.int64) + 2
-            depth = np.clip(np.minimum(self.k_end - 1, need), 0, None)
+        if drop:
+            # row m: the bin's covered scores from the top, then its last
+            # score repeated, at least once
+            depth = np.maximum(self.k_end - 1, 0)
             top = np.empty((m_bins, int(depth.max()) + 2))
             for row, c, km, d in zip(top, cells, np.maximum(self.k_end, 1).tolist(), depth.tolist()):
                 row[: d + 1] = c[km - 1 - d : km][::-1]
@@ -304,21 +304,11 @@ class _MoveStream:
             gaps = (top[:, :-1] - top[:, 1:]) / size  # move j lands on row[j + 1]
             keys = np.minimum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(keys > 0.0)  # each bin up to its first tie
-            rank = np.argsort(-keys.ravel()[moves], kind="stable")
-            order = moves[rank]
+            order = moves[np.argsort(-keys.ravel()[moves], kind="stable")]
             bins, j = np.divmod(order, gaps.shape[1])
             self.ks = self.k_end[bins] - 1 - j
             self.deltas = np.full(order.size, -1)
             self.thrs = top[bins, j + 1]
-            counts = np.count_nonzero(keys > 0.0, axis=1)
-            short = np.flatnonzero((depth < self.k_end - 1) & (counts == depth))
-            if short.size:
-                # exact only while every bin cut short still has its moves
-                sorted_at = np.empty_like(rank)
-                sorted_at[rank] = np.arange(rank.size)
-                end = int(sorted_at[(np.cumsum(counts) - 1)[short]].min()) + 1
-                order, bins = order[:end], bins[:end]
-                self.ks, self.deltas, self.thrs = self.ks[:end], self.deltas[:end], self.thrs[:end]
         else:
             # row m: the bin's uncovered scores, then +inf; only a bin's
             # first score of each value is a move, the others step by zero
@@ -345,22 +335,14 @@ class _MoveStream:
             self.thrs = scores.ravel()[order]
         self.bins, self.slopes, self.size = bins, gaps.ravel()[order], order.size
 
-    def follow(self, sign: int, m: int, km: int) -> bool:
-        """Step past the next move if it is this one; False otherwise."""
-        j = self.pos
-        if sign != self.sign or j == self.size or self.bins[j] != m or self.ks[j] != km:
-            return False
-        self.pos += 1
-        return True
-
     def span(self, inside, limit: int) -> int:
-        """How many states from ``pos`` on, at most ``limit``, have a mean
+        """How many states from the first on, at most ``limit``, have a mean
         that ``inside`` accepts; the mean one state further is computed too."""
         while True:
             have = self.mu.size
-            out = np.flatnonzero(~inside(self.mu[self.pos :]))
-            if out.size or have > self.size or have - self.pos > limit:
-                return min(out[0] if out.size else have - self.pos, limit)
+            out = np.flatnonzero(~inside(self.mu))
+            if out.size or have > self.size or have > limit:
+                return min(out[0] if out.size else have, limit)
             self._extend(min(self.size + 1, have + 256))
 
     def _extend(self, upto: int) -> None:
@@ -426,14 +408,16 @@ def eoc_optimize(
     target, each iteration pairs them: it drops one covered sample from
     the donor bin with the largest decrease slope and covers one more
     sample in the recipient bin with the smallest increase slope. A
-    paired exchange keeps the pooled covered count essentially
-    unchanged, so validity is never spent. Once every group is on the
-    same side, the loop switches to one-sided moves: lone drops from the
-    most over-covered group, taken only while the pooled covered count
-    stays at or above its floor of ``ceil(n * (1 - alpha))``, or lone
-    additions to the most under-covered group, which only add coverage.
-    Every iteration moves exactly one sample per side, so the pooled
-    covered count changes by at most one.
+    paired exchange never lowers the pooled covered count, so validity
+    is never spent. Once every group is on the same side, the loop
+    switches to one-sided moves: lone drops from the most over-covered
+    group, taken only while the pooled covered count stays at or above
+    its floor of ``ceil(n * (1 - alpha))``, or lone additions to the
+    most under-covered group, which only add coverage. A drop uncovers
+    one sample; an add covers one, or several when the newly covered
+    score ties the next ones. A donor whose best decrease slope is 0.0
+    is tie-locked: its drop cannot move, so an exchange from it records
+    slope 0.0 and the donor's mean unchanged, and only the add moves.
 
     Terminates ``converged`` when every group parks inside the one-sided
     window ``[1 - alpha, 1 - alpha + stop]`` with ``stop`` one move
@@ -455,14 +439,15 @@ def eoc_optimize(
     covered sample (``-inf`` where fewer than two are covered) and the
     width paid by covering its next one (``+inf`` where the cell is
     full), refreshed only for the cells a move changes. Ties go to the
-    first cell in bin-major order. After the loop converges, a width cleanup
-    alternates two greedy passes until neither moves: a trim pass sheds
-    covered records the floors do not need, widest spacing first, and a
-    descent pass trades one covered sample between any two cells while
-    the largest decrease slope strictly exceeds the smallest increase
-    slope, stopping at that crossover. Cleanup feasibility is judged on
-    post-move group means, so every group stays inside its parking
-    window and the covered count never falls below its floor.
+    first cell in bin-major order. After the loop converges, a width
+    cleanup alternates two greedy passes until neither moves: a trim pass
+    sheds covered records the floors do not need, widest spacing first,
+    and stops at a tied drop (slope 0.0), which cannot move; a descent
+    pass trades one covered sample between any two cells while the
+    largest decrease slope strictly exceeds the smallest increase slope,
+    stopping at that crossover. Cleanup feasibility is judged on post-move
+    group means, so every group stays inside its parking window and the
+    covered count never falls below its floor.
 
     Every threshold sits on its cell's covering order statistic, so a
     drop that moves covers exactly one sample fewer, and an add exactly
@@ -470,34 +455,35 @@ def eoc_optimize(
     is the covered count searched again.
 
     Paired exchanges are taken in runs. A group's moves depend only on
-    its own cells, so its greedy drops (or adds) are built once as a
-    stream: each cell's order-statistic spacings, read from the covering
-    one outwards, stably sorted by their running minimum (maximum for
-    adds), which is the order a first-of-equal pick over the slope table
-    takes them in. A cumsum of the stream's covered counts gives the
-    group mean after each of its moves. Within a run donor means only
-    fall and recipient means only rise, so the donor picks are the
-    donors' before-move means sorted descending and the recipient picks
-    the recipients' sorted ascending, ties to the lower group, then the
-    earlier move; the run's records are built from those arrays. A
-    stream stays valid while its group moves only its way, and reads a
-    donor's bins only as deep as its fall to the window can need.
+    its own cells, so a run builds each donor's greedy drops (and each
+    recipient's adds) as a stream: each cell's order-statistic spacings,
+    read from the covering one outwards, stably sorted by their running
+    minimum (maximum for adds), which is the order a first-of-equal pick
+    over the slope table takes them in. A cumsum of the stream's covered
+    counts gives the group mean after each of its moves. Within a run
+    donor means only fall and recipient means only rise, so the donor
+    picks are the donors' before-move means sorted descending and the
+    recipient picks the recipients' sorted ascending, ties to the lower
+    group, then the earlier move; the run's records are built from those
+    arrays. The run then applies its moves to the state and drops its
+    streams. No run starts while the top donor has no positive decrease
+    slope.
 
     Single moves keep Python scalars in group-major lists (entry
     ``[s][m]`` is cell ``(m, s)``): covered counts, thresholds, coverage
     rates, the two slope tables, the group means and the pooled covered
     count. They take the steps a run cannot: lone drops and adds, an
-    exhausted or tie-locked donor, a full recipient, and the cleanup; a
-    run also ends after an add that carries its group past its window,
-    as the group may donate next. A group's best cell is
-    ``col.index(max(col))`` (or ``min``), the first of equal candidates,
-    as ``argmax`` picks it. A single move recomputes only its groups'
-    means, as ``reduce(add, rates) / M``; a stream adds the same bins in
-    the same order, row by row over its rates. The means decide tie
-    breaks and go into the trace, so the summation order is part of the
-    output: never the builtin ``sum``, which compensates from Python 3.12
-    on. The cleanup builds its ``(M, S)`` and ``(MS, MS)`` arrays from
-    the lists on each move.
+    exhausted or tie-locked donor, and the cleanup; a run also ends
+    after an add that carries its group past its window, as the group
+    may donate next. A group's best cell is ``col.index(max(col))`` (or
+    ``min``), the first of equal candidates, as ``argmax`` picks it. A
+    single move recomputes only its groups' means, as
+    ``reduce(add, rates) / M``; a stream adds the same bins in the same
+    order, row by row over its rates. The means decide tie breaks and go
+    into the trace, so the summation order is part of the output: never
+    the builtin ``sum``, which compensates from Python 3.12 on. The
+    cleanup builds its ``(M, S)`` and ``(MS, MS)`` arrays from the lists
+    on each move.
 
     A ``state0`` of another calibration set or partition raises
     ValidationError. With a single group the input table is returned
@@ -583,17 +569,7 @@ def eoc_optimize(
         thr[s][m] = new_thr
         k[s][m] = km
         refresh(s, m)
-        if streams[s] is not None and not streams[s].follow(offset, m, km):
-            streams[s] = None
         return True
-
-    streams: list[_MoveStream | None] = [None] * s_groups
-
-    def stream(s: int, sign: int) -> _MoveStream:
-        if streams[s] is None or streams[s].sign != sign:
-            reach = mu[s] - level - slack[s]  # how far a donor is to fall
-            streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign, reach)
-        return streams[s]
 
     def run(over: list[int], under: list[int], s1: int, s2: int) -> int:
         # Takes the paired exchanges ahead, from donor s1 and recipient s2
@@ -601,35 +577,35 @@ def eoc_optimize(
         # recipients only rise, so the picks are the donors' before-move
         # means sorted descending and the recipients' sorted ascending,
         # ties to the lower group, then the earlier move. A run stops
-        # before a donor with no move left or a full recipient, and after an
-        # add that carries its group past its window.
+        # before a donor with no move left and after an add that carries
+        # its group past its window; a recipient fills up only at mean 1,
+        # above its window. The run's streams are built from the state it
+        # starts on and dropped at its end.
         nonlocal covered
-        if stream(s1, -1).pos == streams[s1].size or stream(s2, 1).pos == streams[s2].size:
-            return 0
+        if max(dec[s1]) <= 0.0:
+            return 0  # the donor's drop stream is empty
         budget = max_iters - len(iterations)
-        sides = []
+        streams, ends, sides = {}, np.zeros(s_groups, dtype=np.int64), []
         for groups_, sign in ((over, -1), (under, 1)):
             mus, gs, ts = [], [], []
             for s in groups_:
-                st = stream(s, sign)
+                st = streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign < 0)
                 if sign < 0:
                     n = st.span(lambda v: v - level > slack[s], budget)
                 else:
                     n = st.span(lambda v: v < floor, budget)
-                mus.append(st.mu[st.pos : st.pos + n])
+                mus.append(st.mu[:n])
                 gs.append(np.full(n, s))
-                ts.append(np.arange(st.pos, st.pos + n))
+                ts.append(np.arange(n))
+                ends[s] = st.size
             mus, gs, ts = map(np.concatenate, (mus, gs, ts))
             order = np.lexsort((ts, gs, sign * mus))[:budget]
             sides.append((gs[order], ts[order]))
         (g1, t1), (g2, t2) = sides
         n = min(g1.size, g2.size)
-        ends = np.array([st.size if st is not None else -1 for st in streams])
-        stall = np.flatnonzero((t1[:n] == ends[g1[:n]]) | (t2[:n] == ends[g2[:n]]))
+        stall = np.flatnonzero(t1[:n] == ends[g1[:n]])
         if stall.size:
             n = int(stall[0])
-        if n == 0:
-            return 0
         g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
         m1, m2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         d_slopes, i_slopes = np.empty(n), np.empty(n)
@@ -651,16 +627,16 @@ def eoc_optimize(
         for g in (g1[:n], g2[:n]):
             for s in set(g.tolist()):
                 st, moved = streams[s], np.cumsum(g == s)
-                a, b = st.pos, st.pos + int(moved[-1])
-                states = st.mu[a : b + 1].tolist()
+                b = int(moved[-1])
+                states = st.mu[: b + 1].tolist()
                 cols[s] = list(map(states.__getitem__, moved.tolist()))
-                changed = st.bins[a:b].tolist()
-                for m, km, t in zip(changed, st.ks[a:b].tolist(), st.thrs[a:b].tolist()):
+                changed = st.bins[:b].tolist()
+                for m, km, t in zip(changed, st.ks[:b].tolist(), st.thrs[:b].tolist()):
                     k[s][m], thr[s][m] = km, t
                 for m in set(changed):
                     refresh(s, m)
-                covered += int(st.deltas[a:b].sum())
-                mu[s], st.pos = states[-1], b
+                covered += int(st.deltas[:b].sum())
+                mu[s] = states[-1]
         first = len(iterations) + 1
         iterations.extend(
             map(
@@ -772,8 +748,8 @@ def eoc_optimize(
             while covered > k_floor:
                 gain = np.where(np.array(mu) - quantum >= level - eps, np.array(dec).T, -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
-                if gain[m1, s1] == -np.inf:
-                    break
+                if gain[m1, s1] <= 0.0:
+                    break  # a zero slope is a tie, which a drop cannot move
                 if len(iterations) == max_iters:
                     reason = MAX_ITERS
                     break

@@ -112,8 +112,8 @@ class TestPipeline:
         assert [r[0] for r in rows[1:]] == ["cp", "cqr", "cqr_groupwise", "fuq"]
         for method in ("cp", "cqr", "cqr_groupwise", "fuq"):
             assert os.path.exists(os.path.join(pipeline, f"report_{method}.json"))
-        text = open(os.path.join(pipeline, "comparison.txt")).read()
-        assert "fuq" in text
+        with open(os.path.join(pipeline, "comparison.txt")) as fh:
+            assert "fuq" in fh.read()
 
     def test_sweep_includes_single_bin(self, pipeline):
         rows = read_rows(os.path.join(pipeline, "sweep.csv"))
@@ -142,9 +142,8 @@ class TestPipeline:
         )
         assert code == 0
         for name in ("report.json", "predictions.csv"):
-            a = open(os.path.join(pipeline, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b
+            with open(os.path.join(pipeline, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestInputHashing:

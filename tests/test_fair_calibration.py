@@ -700,20 +700,33 @@ class TestOptimizerMatchesReference:
     def test_matches_reference_on_random_sets(self, case, max_iters):
         self.assert_same(*case, max_iters=max_iters)
 
-    def test_drop_stream_read_shallow_is_a_prefix(self):
-        # a donor that only needs to fall a little reads each bin's top
-        # scores alone; its moves are the first of the full stream's
-        data = calibration_set(5, 3, 900, ties=0.05)
-        table0, state0 = seeded(data, 4, 0.1)
-        cells = [state0.cells.cells[m][0] for m in range(4)]
-        thr = table0.r_hat[:, 0].tolist()
-        k = [_covered_count(c, t) for c, t in zip(cells, thr)]
-        sizes = [c.size for c in cells]
-        full = _MoveStream(cells, sizes, k, thr, -1, 1.0)
-        short = _MoveStream(cells, sizes, k, thr, -1, 0.01)
-        assert 0 < short.size < full.size
-        for name in ("bins", "ks", "thrs", "slopes"):
-            assert getattr(short, name).tobytes() == getattr(full, name)[: short.size].tobytes()
+    @given(calibration_cases())
+    def test_empty_streams_show_in_the_slope_tables(self, case):
+        # a run returns at once when its donor's drop stream is empty,
+        # read off the decrease slopes; a recipient, below the target, has
+        # a cell with room, and so an add
+        data, m_bins, alpha = case
+        table0, state0 = seeded(data, m_bins, alpha)
+        for s in range(data.group_count):
+            cells = [state0.cells.cells[m][s] for m in range(m_bins)]
+            thr = table0.r_hat[:, s].tolist()
+            k = [_covered_count(c, t) for c, t in zip(cells, thr)]
+            sizes = [c.size for c in cells]
+            dec = [_dec_slope(c, km) if km >= 2 else -math.inf for c, km in zip(cells, k)]
+            assert (_MoveStream(cells, sizes, k, thr, True).size == 0) == (max(dec) <= 0.0)
+            if k != sizes:
+                assert _MoveStream(cells, sizes, k, thr, False).size > 0
+
+    def test_trim_stops_at_a_tied_drop(self):
+        # after the lone drops, a trim's best decrease slope is a tie that
+        # cannot move; the cleanup ends there instead of recording it
+        # until the cap
+        data = calibration_set(2439786156, 5, 527, ties=True)
+        trace, kinds = self.assert_same(data, 19, 0.05)
+        assert trace.termination_reason == CONVERGED
+        assert len(trace.iterations) == 15
+        assert "trim" in kinds
+        assert all(it.slope_decrease > 0.0 for it in trace.iterations if it.recipient_group < 0)
 
 
 class TestOptimizerProperties:
@@ -932,8 +945,8 @@ def _reference_eoc_optimize(
                             slope = _dec_slope(cells[m][s], int(k[m, s]))
                             if best is None or slope > best[0]:
                                 best = (slope, m, s)
-                if best is None:
-                    break
+                if best is None or best[0] <= 0.0:
+                    break  # a zero slope is a tie, which a drop cannot move
                 if len(iterations) == max_iters:
                     reason = MAX_ITERS
                     break
