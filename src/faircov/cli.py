@@ -45,11 +45,9 @@ from .core import (
     write_dataset,
 )
 from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate, measure_coverage
-from .intervals import band_pieces, union_components, union_covered
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
-    _evaluate_band,
-    _resolve_band,
+    _evaluate_blocks,
     comparison_header,
     comparison_row,
     evaluate,
@@ -284,64 +282,20 @@ def cmd_calibrate(o) -> Step:
     return Step(inputs, ["calibrator.json"], hashes=input_hashes)
 
 
-# Records per block of the predictions writer: its (M, block) piece arrays
-# and the block's text are all it holds at once.
-_WRITE_BLOCK = 4096
-
-
-def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
-    """``repr(start):repr(end)`` of each component.
-
-    Components clipped to a bin bound share it, so each distinct bound is
-    printed once. Bounds are told apart by their bits, which keeps
-    ``-0.0`` apart from ``0.0``.
-    """
-    bits, where = np.unique(np.concatenate((start, end)).view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
-    return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
-
-
-def _write_predictions(path, test, band) -> None:
-    """One row per test record; ``width`` is the merged union's width.
-
-    ``band`` is what ``metrics._resolve_band`` returned for ``test``. Each
-    block of records takes one pass of the interval kernel; merging,
-    coverage and width are numpy passes over it. Only the text is per
-    record, and it is the text of :class:`IntervalSet` for the record.
-    """
-    q_lo, q_hi, partition, r_hat, _, fallback, _ = band
-    bounds = np.asarray(partition.bounds)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
-        for lo in range(0, test.n, _WRITE_BLOCK):
-            block = slice(lo, lo + _WRITE_BLOCK)
-            a, b = band_pieces(q_lo[block], q_hi[block], test.group[block], r_hat, bounds)
-            covered = union_covered(a, b, test.y[block], fallback[block])
-            count, start, end, width = union_components(a, b)
-            pieces = _piece_texts(start, end)
-            stops = np.cumsum(count).tolist()
-            writer.writerows(
-                zip(
-                    test.ids[block],
-                    test.group[block].tolist(),
-                    [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
-                    ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],
-                    covered.astype(np.int64).tolist(),
-                    map(repr, width.tolist()),
-                )
-            )
-
-
 def cmd_evaluate(o) -> Step:
     calibrator = _load_artifact(o.calibrator, "calibrator", _parse_calibrator)
     # a table fixes the group count: every one of its groups must appear
     group_count = calibrator.group_count if isinstance(calibrator, ThresholdTable) else None
     test = _load_data(o, o.data, group_count)
     model = _load_model(o.model)
-    band = _resolve_band(test, model, calibrator)
-    _write_text(o, "report.json", report_to_json(_evaluate_band(test, calibrator.alpha, band)))
-    _write_predictions(os.path.join(o.out_dir, "predictions.csv"), test, band)
+    predictions = os.path.join(o.out_dir, "predictions.csv")
+    try:
+        with open(predictions, "w", newline="") as fh:
+            report = _evaluate_blocks(test, model, calibrator, csv.writer(fh))
+    except ValidationError:
+        os.remove(predictions)  # a rejected evaluation leaves no predictions file
+        raise
+    _write_text(o, "report.json", report_to_json(report))
     inputs = [path for path in (o.data, o.calibrator, o.model) if path]
     return Step(inputs, ["report.json", "predictions.csv"])
 

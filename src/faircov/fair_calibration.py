@@ -424,8 +424,8 @@ def eoc_optimize(
     quantum (one sample of the group's smallest cell, averaged over
     bins), which keeps it inside the documented tolerance band;
     ``slope_crossover`` when no realizable move remains (donor with
-    nothing left to give, recipient already fully covered, a lone drop
-    blocked by the covered-count floor, or tie-locked thresholds);
+    nothing left to give, a lone drop blocked by the covered-count floor,
+    or tie-locked thresholds);
     ``max_iters`` at the iteration cap, returning the table reached so
     far, also when the cap cuts the width cleanup short while a pass still
     has a move to make (a cleanup that ends on its own exactly at the cap
@@ -705,9 +705,7 @@ def eoc_optimize(
             m1 = dec[s1].index(d_slope)
         if s2 >= 0:
             i_slope = min(inc[s2])
-            if i_slope == math.inf:
-                reason = SLOPE_CROSSOVER  # recipient is fully covered everywhere
-                break
+            assert i_slope < math.inf, "a recipient is below 1 - alpha, so a cell has room"
             m2 = inc[s2].index(i_slope)
         if s1 >= 0 and s2 < 0 and covered - 1 < k_floor:
             # a lone drop spends pooled coverage; keep the covered count

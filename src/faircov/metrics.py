@@ -4,7 +4,9 @@ Coverage here is always the sample mean of the covered indicator. The
 optimizer's internal constraint is a bin-averaged quantity instead, so
 reports carry both views plus exact integer counts, letting any
 discrepancy or downstream confidence band be recomputed from the report
-alone.
+alone. :func:`evaluate` walks the test set once, with one interval-kernel
+call per block of records; ``faircov evaluate`` writes ``predictions.csv``
+from the same blocks' pieces in that same pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .binning import BinPartition, bin_indices
 from .conformal import GlobalThreshold, band_columns
 from .core import Dataset, ValidationError
 from .fair_calibration import ThresholdTable
-from .intervals import IntervalSet, band_pieces, union_covered, union_widths
+from .intervals import IntervalSet, band_pieces, union_components, union_covered, union_widths
 from .quantile_model import QuantileModel
 
 __all__ = [
@@ -113,8 +115,8 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
     """Band columns, per-(bin, group) shifts, the point prediction and the fallback.
 
     The fallback is the point clipped to the partition's label domain, the
-    range the shifts were calibrated on; ``evaluate`` and the predictions
-    writer both use it, so their coverage agrees.
+    range the shifts were calibrated on; the report and the predictions
+    file both read it, so their coverage agrees.
     """
     if isinstance(calibrator, ThresholdTable):
         q_lo, q_hi, med = band_columns(test, model, calibrator.alpha)
@@ -153,23 +155,69 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalRepo
     predictions come from the model median when available, otherwise the
     midpoint of the raw band.
     """
-    band = _resolve_band(test, model, calibrator)  # rejects an unsupported calibrator first
-    return _evaluate_band(test, calibrator.alpha, band)
+    return _evaluate_blocks(test, model, calibrator)
 
 
-def _evaluate_band(test: Dataset, alpha: float, band) -> EvalReport:
-    """:func:`evaluate` on a band :func:`_resolve_band` returned for ``test``."""
-    q_lo, q_hi, partition, r_hat, point, fallback, point_source = band
-    a, b = band_pieces(q_lo, q_hi, test.group, r_hat, np.asarray(partition.bounds))
-    covered = union_covered(a, b, test.y, fallback)
-    width, has_piece = union_widths(a, b)  # last: it reuses b
+# Records per block of the test-set walk: its (M, block) piece arrays and,
+# when it writes predictions, the block's text are all it holds at once.
+_BLOCK = 4096
+
+
+def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
+    """``repr(start):repr(end)`` of each component.
+
+    Components clipped to a bin bound share it, so each distinct bound is
+    printed once. Bounds are told apart by their bits, which keeps
+    ``-0.0`` apart from ``0.0``.
+    """
+    bits, where = np.unique(np.concatenate((start, end)).view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
+    return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
+
+
+def _evaluate_blocks(test: Dataset, model, calibrator, writer=None) -> EvalReport:
+    """:func:`evaluate` in one walk over ``test``, ``_BLOCK`` records at a time.
+
+    A ``csv.writer`` gets ``predictions.csv``: a header, then one row per
+    record with its id, group, the text of its :class:`IntervalSet`, its
+    fallback point when it has no component, covered, and the merged
+    union's width. The report reads the per-record arrays of the whole
+    walk, so no figure depends on the block.
+    """
+    q_lo, q_hi, partition, r_hat, point, fallback, source = _resolve_band(test, model, calibrator)
+    if writer is not None:
+        writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
+    bounds = np.asarray(partition.bounds)
+    covered = np.empty(test.n, dtype=bool)
+    width = np.empty(test.n)
+    has_piece = np.empty(test.n, dtype=bool)
+    for lo in range(0, test.n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        a, b = band_pieces(q_lo[block], q_hi[block], test.group[block], r_hat, bounds)
+        covered[block] = union_covered(a, b, test.y[block], fallback[block])
+        if writer is not None:
+            count, start, end, merged_width = union_components(a, b)
+            pieces = _piece_texts(start, end)
+            stops = np.cumsum(count).tolist()
+            writer.writerows(
+                zip(
+                    test.ids[block],
+                    test.group[block].tolist(),
+                    [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
+                    ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],
+                    covered[block].astype(np.int64).tolist(),
+                    map(repr, merged_width.tolist()),
+                )
+            )
+        width[block], has_piece[block] = union_widths(a, b)  # last: it reuses b
 
     s_groups = test.group_count
-    m_bins = partition.m
-    group_counts = np.bincount(test.group, minlength=s_groups)
-    covered_per_group = np.bincount(
-        test.group, weights=covered.astype(np.float64), minlength=s_groups
-    ).astype(np.int64)
+    cell = bin_indices(partition, test.y) * s_groups + test.group  # one key per (bin, group)
+    bin_counts = np.bincount(cell, minlength=partition.m * s_groups).reshape(-1, s_groups)
+    bin_hits = np.bincount(cell, weights=covered, minlength=bin_counts.size)  # exact: 0/1 sums
+    bin_hits = bin_hits.reshape(-1, s_groups)
+    group_counts = bin_counts.sum(axis=0)
+    covered_per_group = bin_hits.sum(axis=0)
     with np.errstate(invalid="ignore"):
         picp_groups = np.where(
             group_counts > 0, covered_per_group / np.maximum(group_counts, 1), np.nan
@@ -180,13 +228,6 @@ def _evaluate_band(test: Dataset, alpha: float, band) -> EvalReport:
             / np.maximum(group_counts, 1),
             np.nan,
         )
-
-    bins0 = bin_indices(partition, test.y)
-    bin_counts = np.zeros((m_bins, s_groups), dtype=np.int64)
-    np.add.at(bin_counts, (bins0, test.group), 1)
-    bin_hits = np.zeros((m_bins, s_groups))
-    np.add.at(bin_hits, (bins0, test.group), covered.astype(np.float64))
-    with np.errstate(invalid="ignore"):
         bin_coverage = np.where(bin_counts > 0, bin_hits / np.maximum(bin_counts, 1), np.nan)
     bin_coverage.setflags(write=False)
     bin_counts.setflags(write=False)
@@ -199,7 +240,7 @@ def _evaluate_band(test: Dataset, alpha: float, band) -> EvalReport:
     gap = float(present.max() - present.min()) if present.size >= 2 else 0.0
 
     return EvalReport(
-        alpha=float(alpha),
+        alpha=float(calibrator.alpha),
         n_test=test.n,
         group_counts=tuple(int(c) for c in group_counts),
         covered_total=int(covered.sum()),
@@ -215,7 +256,7 @@ def _evaluate_band(test: Dataset, alpha: float, band) -> EvalReport:
         mae=mae(test.y, point),
         rmse=rmse(test.y, point),
         fallback_count=int((~has_piece).sum()),
-        point_source=point_source,
+        point_source=source,
     )
 
 

@@ -1,14 +1,16 @@
 """End-to-end command line pipeline and its failure modes."""
 
 import argparse
+import collections
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from faircov import ThresholdTable, equal_mass_bins, write_dataset
+from faircov import GlobalThreshold, ThresholdTable, equal_mass_bins, intervals, metrics, write_dataset
 from faircov.cli import _missed_floors, build_parser, main
 
 from conftest import make_dataset
@@ -143,6 +145,41 @@ class TestPipeline:
         assert code == 0
         for name in ("report.json", "predictions.csv"):
             with open(os.path.join(pipeline, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
+                assert a.read() == b.read()
+
+
+class TestOneKernelPass:
+    @pytest.mark.parametrize("block", [metrics._BLOCK, 32])
+    def test_evaluate_runs_the_kernel_once_per_block(self, pipeline, tmp_path, monkeypatch, block):
+        # every module's binding of the kernel and of the coverage test is
+        # counted; report.json and predictions.csv come from the same calls
+        calls = collections.Counter()
+        for name in ("band_pieces", "union_covered"):
+            original = getattr(intervals, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("faircov") and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        out = str(tmp_path / "evaluate")
+        code = main(
+            [
+                "evaluate",
+                "--out-dir", out,
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--calibrator", os.path.join(pipeline, "calibrator.json"),
+            ]
+        )
+        assert code == 0
+        blocks = -(-80 // block)  # the pipeline's 80 test records
+        assert calls == {"band_pieces": blocks, "union_covered": blocks}
+        for name in ("report.json", "predictions.csv"):
+            with open(os.path.join(pipeline, name), "rb") as a, open(os.path.join(out, name), "rb") as b:
                 assert a.read() == b.read()
 
 
@@ -376,6 +413,22 @@ class TestSplitCpArtifact:
         with open(os.path.join(out, "report.json")) as fh:
             report = json.load(fh)
         assert report["point_source"] == "median"
+
+    def test_cp_without_a_model_writes_nothing(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "calibrator.json"
+        path.write_text(GlobalThreshold(method="cp", alpha=0.1, r_hat=0.7, n_cal=10).to_json())
+        out = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                "--out-dir", str(out),
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--calibrator", str(path),
+            ]
+        )
+        assert code == 1
+        assert "needs a model" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestMalformedArtifacts:

@@ -896,9 +896,7 @@ def _reference_eoc_optimize(
                     slope = _inc_slope(cells[m][s2], int(k[m, s2]), float(thr[m, s2]))
                     if slope < best_inc:
                         best_inc, m2 = slope, m
-            if m2 < 0:
-                reason = SLOPE_CROSSOVER  # recipient is fully covered everywhere
-                break
+            assert m2 >= 0, "a recipient is below 1 - alpha, so a cell has room"
         if s1 >= 0 and s2 < 0:
             # a lone drop spends pooled coverage; keep the covered count
             # at or above the overall floor

@@ -6,7 +6,8 @@ has: every bin's piece ``[q_lo - r, q_hi + r]`` clipped with Python
 with ``repr``. A global shift is a one-bin table over the label domain,
 and a ``cp`` shift is a band collapsed onto the median. ``evaluate``'s
 single kernel pass is held bit for bit to the two-kernel path it
-replaced.
+replaced, and the walk that writes the predictions gives the same report
+at every block size.
 """
 
 import csv
@@ -18,12 +19,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, cli, metrics
+from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, metrics
 from faircov.binning import BinPartition
-from faircov.cli import _write_predictions
 from faircov.conformal import band_columns
 from faircov.intervals import band_pieces, union_covered, union_widths
-from faircov.metrics import _resolve_band, evaluate, report_to_json
+from faircov.metrics import _evaluate_blocks, _resolve_band, evaluate, report_to_json
 
 from conftest import make_dataset
 
@@ -105,6 +105,12 @@ def reference_report(test, model, calibrator) -> str:
         )
         patch.setattr(metrics, "union_widths", lambda inputs, _: reference_union_widths(*inputs))
         return report_to_json(evaluate(test, model, calibrator))
+
+
+def write_predictions(path, test, model, calibrator):
+    """``predictions.csv`` as ``faircov evaluate`` writes it; returns the report."""
+    with open(path, "w", newline="") as fh:
+        return _evaluate_blocks(test, model, calibrator, csv.writer(fh))
 
 
 def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
@@ -192,7 +198,7 @@ def test_writer_matches_reference_bytes(tmp_path, name, model):
     calibrator = CALIBRATORS[name]
     test = adversarial_records()
     path = tmp_path / "predictions.csv"
-    _write_predictions(str(path), test, _resolve_band(test, model, calibrator))
+    write_predictions(path, test, model, calibrator)
     with open(path, newline="") as fh:
         written = fh.read()
     assert written == reference_csv(test, model, calibrator)
@@ -265,10 +271,16 @@ def test_writer_matches_reference_across_blocks(tmp_path_factory, case, block):
     test, calibrator = dataset_and_table(case)
     path = tmp_path_factory.mktemp("predictions") / "predictions.csv"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_WRITE_BLOCK", block)  # up to 12 records: several blocks
-        _write_predictions(str(path), test, _resolve_band(test, None, calibrator))
+        patch.setattr(metrics, "_BLOCK", block)  # up to 12 records: several blocks
+        report = write_predictions(path, test, None, calibrator)
     with open(path, newline="") as fh:
         assert fh.read() == reference_csv(test, None, calibrator)
+    # the reference takes every record in one block
+    assert report_to_json(report) == reference_report(test, None, calibrator)
+    whole = evaluate(test, None, calibrator)
+    np.testing.assert_array_equal(
+        [report.mpiw_overall, *report.mpiw_per_group], [whole.mpiw_overall, *whole.mpiw_per_group]
+    )
 
 
 @given(random_tables())
@@ -297,7 +309,7 @@ def test_report_and_writer_clip_the_fallback_to_the_calibration_domain(tmp_path)
     test = make_dataset([8.0], [0], q_lo=[8.5], q_hi=[9.5], domain=(0.0, 8.0), group_count=2)
     calibrator = CALIBRATORS["all_empty"]
     path = tmp_path / "predictions.csv"
-    _write_predictions(str(path), test, _resolve_band(test, None, calibrator))
+    write_predictions(path, test, None, calibrator)
     with open(path, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     report = evaluate(test, None, calibrator)
