@@ -369,7 +369,7 @@ def cmd_sweep_m(o) -> Step:
                 f"{report.picp_overall:.6f}",
                 f"{report.mpiw_overall:.6f}",
                 f"{report.picp_gap:.6f}",
-                str(len(trace.iterations)),
+                str(trace.donor_group.size),
                 trace.termination_reason,
             ]
         )

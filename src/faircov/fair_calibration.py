@@ -32,6 +32,11 @@ the builtin ``sum`` compensates from Python 3.12 on and numpy's sum of
 one column adds partial sums. The means decide tie breaks and go into
 the trace, so their last bit is part of the output.
 
+The :class:`OptimizerTrace` holds the moves as columns: a run writes its
+moves' rows from the arrays it already holds, a single move appends one
+row, and the columns are assembled once, at the end. Its
+:class:`IterationRecord` view is built only when read.
+
 A :class:`CellScores` holds one conformity-score pass over a calibration
 set (scores, bins, sorted cell scores, counts). A calibration makes three
 such passes: :func:`init_thresholds` seeds the global shift with
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
@@ -153,8 +158,10 @@ class CellScores:
         empty = np.argwhere(counts == 0)
         if empty.size:
             raise EmptyCellError(int(empty[0, 0]) + 1, int(empty[0, 1]))
-        # a stable sort keeps each cell's records in dataset order
-        split = np.split(scores[np.argsort(key, kind="stable")], np.cumsum(counts.ravel())[:-1])
+        # a stable sort keeps each cell's records in dataset order; numpy
+        # radix-sorts 8- and 16-bit keys
+        order = np.argsort(key.astype(np.min_scalar_type(m_bins * s_groups - 1)), kind="stable")
+        split = np.split(scores[order], np.cumsum(counts.ravel())[:-1])
         cells = [[np.sort(split[m * s_groups + s]) for s in range(s_groups)] for m in range(m_bins)]
         return cls(scores=scores, bins=bins0, cells=cells, counts=counts, partition=partition)
 
@@ -181,13 +188,14 @@ class CoverageState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One optimizer step. Bin numbers are 1-based.
+    """One optimizer step, read off the columns of an :class:`OptimizerTrace`.
 
-    A paired exchange fills both sides. A one-sided rebalancing move
-    (taken when no counterparty group sits on the other side of the
-    target) marks the absent side with group -1, bin 0, and a NaN slope.
-    A tie-locked donor, whose best decrease slope is 0.0, cannot move: its
-    side records that cell and slope 0.0, and its mean is unchanged.
+    Bin numbers are 1-based. A paired exchange fills both sides. A
+    one-sided rebalancing move (taken when no counterparty group sits on
+    the other side of the target) marks the absent side with group -1,
+    bin 0, and a NaN slope. A tie-locked donor, whose best decrease slope
+    is 0.0, cannot move: its side records that cell and slope 0.0, and its
+    mean is unchanged.
     """
 
     step: int
@@ -200,30 +208,74 @@ class IterationRecord:
     per_group_mean: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerTrace:
+    """The optimizer's moves as read-only columns, one row per move.
+
+    Row ``t`` is move ``t + 1`` of T. The group and bin columns are
+    ``(T,)`` int64, with 1-based bins; the slope columns are ``(T,)``
+    float64; ``per_group_mean`` is ``(T, S)`` float64, every group's mean
+    after the move. A one-sided move marks its absent side with group -1,
+    bin 0 and a NaN slope, as :class:`IterationRecord` does.
+    :attr:`iterations` is the same moves as records, built on first
+    access. Traces do not compare with ``==``: compare the columns.
+    """
+
     initial_per_group_mean: tuple[float, ...]
-    iterations: tuple[IterationRecord, ...]
+    donor_group: np.ndarray
+    recipient_group: np.ndarray
+    donor_bin: np.ndarray
+    recipient_bin: np.ndarray
+    slope_decrease: np.ndarray
+    slope_increase: np.ndarray
+    per_group_mean: np.ndarray
     termination_reason: str
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    @cached_property
+    def iterations(self) -> tuple[IterationRecord, ...]:
+        """The moves as records: a read-only view of the columns."""
+        return tuple(
+            map(
+                IterationRecord,
+                range(1, self.donor_group.size + 1),
+                self.donor_group.tolist(),
+                self.recipient_group.tolist(),
+                self.donor_bin.tolist(),
+                self.recipient_bin.tolist(),
+                self.slope_decrease.tolist(),
+                self.slope_increase.tolist(),
+                map(tuple, self.per_group_mean.tolist()),
+            )
+        )
 
     def gaps(self) -> list[float]:
         """Max-minus-min group mean before and after each step."""
-        seq = [self.initial_per_group_mean] + [it.per_group_mean for it in self.iterations]
-        return [max(m) - min(m) for m in seq]
+        means = np.vstack((self.initial_per_group_mean, self.per_group_mean))
+        return (means.max(axis=1) - means.min(axis=1)).tolist()
 
     def summary(self) -> dict:
-        final = (
-            self.iterations[-1].per_group_mean
-            if self.iterations
-            else self.initial_per_group_mean
-        )
+        steps = self.donor_group.size
+        final = self.per_group_mean[-1].tolist() if steps else list(self.initial_per_group_mean)
         return {
             "termination_reason": self.termination_reason,
-            "iterations": len(self.iterations),
+            "iterations": steps,
             "initial_per_group_mean": list(self.initial_per_group_mean),
-            "final_per_group_mean": list(final),
+            "final_per_group_mean": final,
             "final_gap": max(final) - min(final),
         }
+
+
+def _trace(init_means: tuple[float, ...], moves: np.ndarray, reason: str) -> OptimizerTrace:
+    # moves: one float64 row per move, holding the donor and recipient
+    # groups and bins, the two slopes, then the S group means
+    ints = np.ascontiguousarray(moves[:, :4].T, dtype=np.int64)
+    slopes = np.ascontiguousarray(moves[:, 4:6].T)
+    return OptimizerTrace(init_means, *ints, *slopes, np.ascontiguousarray(moves[:, 6:]), reason)
 
 
 def measure_coverage(cal: Dataset, model: QuantileModel | None, table: ThresholdTable) -> CoverageState:
@@ -429,8 +481,8 @@ def eoc_optimize(
     ``max_iters`` at the iteration cap, returning the table reached so
     far, also when the cap cuts the width cleanup short while a pass still
     has a move to make (a cleanup that ends on its own exactly at the cap
-    is ``converged``). Slopes are recorded per iteration so the width
-    economics of every move stay observable in the trace.
+    is ``converged``). Slopes are recorded per move so the width
+    economics of every move stay observable in the trace's columns.
 
     Before iterating, every threshold is re-expressed on the covering
     order statistic of its cell, which releases pure slack as width
@@ -464,10 +516,10 @@ def eoc_optimize(
     donor means only fall and recipient means only rise, so the donor
     picks are the donors' before-move means sorted descending and the
     recipient picks the recipients' sorted ascending, ties to the lower
-    group, then the earlier move; the run's records are built from those
-    arrays. The run then applies its moves to the state and drops its
-    streams. No run starts while the top donor has no positive decrease
-    slope.
+    group, then the earlier move; the run's rows of the trace are
+    written from those arrays. The run then applies its moves to the
+    state and drops its streams. No run starts while the top donor has no
+    positive decrease slope.
 
     Single moves keep Python scalars in group-major lists (entry
     ``[s][m]`` is cell ``(m, s)``): covered counts, thresholds, coverage
@@ -500,7 +552,7 @@ def eoc_optimize(
     m_bins = table0.partition.m
     init_means = tuple(float(v) for v in state0.per_group_mean)
     if s_groups == 1:
-        return table0, OptimizerTrace(init_means, (), CONVERGED)
+        return table0, _trace(init_means, np.empty((0, 6 + s_groups)), CONVERGED)
 
     cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
     counts = cell_scores.counts
@@ -581,10 +633,10 @@ def eoc_optimize(
         # its group past its window; a recipient fills up only at mean 1,
         # above its window. The run's streams are built from the state it
         # starts on and dropped at its end.
-        nonlocal covered
+        nonlocal covered, steps
         if max(dec[s1]) <= 0.0:
             return 0  # the donor's drop stream is empty
-        budget = max_iters - len(iterations)
+        budget = max_iters - steps
         streams, ends, sides = {}, np.zeros(s_groups, dtype=np.int64), []
         for groups_, sign in ((over, -1), (under, 1)):
             mus, gs, ts = [], [], []
@@ -607,14 +659,14 @@ def eoc_optimize(
         if stall.size:
             n = int(stall[0])
         g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
-        m1, m2 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        d_slopes, i_slopes = np.empty(n), np.empty(n)
+        block = np.empty((n, 6 + s_groups))  # the run's rows of the trace
+        block[:, 0], block[:, 1] = g1, g2
         rise = np.empty(n)  # the mover's mean after each move; recipients' last
-        for g, t, bins, slopes in ((g1, t1, m1, d_slopes), (g2, t2, m2, i_slopes)):
+        for g, t, side in ((g1, t1, 0), (g2, t2, 1)):
             for s in set(g.tolist()):
                 st, mine = streams[s], g == s
-                bins[mine] = st.bins[t[mine]]
-                slopes[mine] = st.slopes[t[mine]]
+                block[mine, 2 + side] = st.bins[t[mine]] + 1
+                block[mine, 4 + side] = st.slopes[t[mine]]
                 rise[mine] = st.mu[t[mine] + 1]
         # Stop after an add that carries its group past its window. A drop
         # cannot carry its donor under the target: the window is at least
@@ -622,64 +674,52 @@ def eoc_optimize(
         crossed = np.flatnonzero(rise - level > np.asarray(slack)[g2])
         if crossed.size:
             n = int(crossed[0]) + 1
-        # a waiting group's mean stays one float object, as in record()
-        cols = [[mu[s]] * n for s in groups]
-        for g in (g1[:n], g2[:n]):
+            block, g1, g2 = block[:n], g1[:n], g2[:n]
+        means = block[:, 6:]
+        means[:] = mu  # a waiting group keeps its current mean
+        for g in (g1, g2):
             for s in set(g.tolist()):
                 st, moved = streams[s], np.cumsum(g == s)
                 b = int(moved[-1])
-                states = st.mu[: b + 1].tolist()
-                cols[s] = list(map(states.__getitem__, moved.tolist()))
+                means[:, s] = st.mu[moved]
                 changed = st.bins[:b].tolist()
                 for m, km, t in zip(changed, st.ks[:b].tolist(), st.thrs[:b].tolist()):
                     k[s][m], thr[s][m] = km, t
                 for m in set(changed):
                     refresh(s, m)
                 covered += int(st.deltas[:b].sum())
-                mu[s] = states[-1]
-        first = len(iterations) + 1
-        iterations.extend(
-            map(
-                IterationRecord,
-                range(first, first + n),
-                g1[:n].tolist(),
-                g2[:n].tolist(),
-                (m1[:n] + 1).tolist(),
-                (m2[:n] + 1).tolist(),
-                d_slopes[:n].tolist(),
-                i_slopes[:n].tolist(),
-                zip(*cols),
-            )
-        )
+                mu[s] = st.mu.item(b)
+        flush()
+        blocks.append(block)
+        steps += n
         return n
 
-    iterations: list[IterationRecord] = []
+    steps = 0
+    blocks = [np.empty((0, 6 + s_groups))]  # the trace so far, as (moves, 6 + S) blocks
+    rows: list[tuple] = []  # single moves since the last block, one row each
     mu = [group_mean(s) for s in groups]
+
+    def flush() -> None:
+        if rows:
+            blocks.append(np.array(rows, dtype=np.float64))
+            rows.clear()
 
     def record(s1, s2, m1, m2, d_slope, i_slope) -> None:
         # refreshes the moved groups' means, which the next move starts from
+        nonlocal steps
         for s in (s1, s2):
             if s >= 0:
                 mu[s] = group_mean(s)
-        iterations.append(
-            IterationRecord(
-                step=len(iterations) + 1,
-                donor_group=s1,
-                recipient_group=s2,
-                donor_bin=m1 + 1 if s1 >= 0 else 0,
-                recipient_bin=m2 + 1 if s2 >= 0 else 0,
-                slope_decrease=d_slope,
-                slope_increase=i_slope,
-                per_group_mean=tuple(mu),
-            )
-        )
+        b1, b2 = m1 + 1 if s1 >= 0 else 0, m2 + 1 if s2 >= 0 else 0
+        rows.append((s1, s2, b1, b2, d_slope, i_slope, *mu))
+        steps += 1
 
     # max and min keep the first of equal candidates, so ties go to the
     # lowest group, and list.index to the lowest bin.
     slack = (stop + eps).tolist()
     floor = level - eps
     reason: str | None = None
-    while len(iterations) < max_iters:
+    while steps < max_iters:
         over = [s for s in groups if mu[s] - level > slack[s]]
         under = [s for s in groups if mu[s] < floor]
         if not over and not under:
@@ -748,7 +788,7 @@ def eoc_optimize(
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] <= 0.0:
                     break  # a zero slope is a tie, which a drop cannot move
-                if len(iterations) == max_iters:
+                if steps == max_iters:
                     reason = MAX_ITERS
                     break
                 d_slope = dec[s1][m1]
@@ -772,7 +812,7 @@ def eoc_optimize(
                 a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
                 if gain[a, b] <= 0.0:
                     break
-                if len(iterations) == max_iters:
+                if steps == max_iters:
                     reason = MAX_ITERS
                     break
                 (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
@@ -789,7 +829,8 @@ def eoc_optimize(
         partition=table0.partition,
         group_count=s_groups,
     )
-    return table, OptimizerTrace(init_means, tuple(iterations), reason)
+    flush()
+    return table, _trace(init_means, np.concatenate(blocks), reason)
 
 def fair_calibrate(
     cal: Dataset,

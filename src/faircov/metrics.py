@@ -184,6 +184,8 @@ def _evaluate_blocks(test: Dataset, model, calibrator, writer=None) -> EvalRepor
     union's width. The report reads the per-record arrays of the whole
     walk, so no figure depends on the block.
     """
+    if test.n == 0:
+        raise ValidationError("cannot score an empty test set")
     q_lo, q_hi, partition, r_hat, point, fallback, source = _resolve_band(test, model, calibrator)
     if writer is not None:
         writer.writerow(["id", "group", "components", "fallback", "covered", "width"])

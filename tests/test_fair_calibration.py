@@ -463,6 +463,47 @@ def calibration_set(seed, s_groups, n, ties=False):
     return make_dataset(y, group, q_lo=q, q_hi=q, domain=(-20.0, 10.0), group_count=s_groups)
 
 
+TRACE_COLUMNS = (
+    "donor_group",
+    "recipient_group",
+    "donor_bin",
+    "recipient_bin",
+    "slope_decrease",
+    "slope_increase",
+    "per_group_mean",
+)
+
+
+def assert_same_trace(trace, want):
+    """Equal traces: every column's dtype, shape and bytes, and the record view.
+
+    Not ``repr(trace)``: numpy summarizes arrays past 1,000 elements.
+    """
+    assert trace.initial_per_group_mean == want.initial_per_group_mean
+    assert trace.termination_reason == want.termination_reason
+    for name in TRACE_COLUMNS:
+        got, expected = getattr(trace, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+    assert repr(trace.iterations) == repr(want.iterations)  # NaN slopes compare as text
+
+
+def records_to_trace(init_means, records, reason):
+    """The columnar trace holding ``records``, one row per record; its
+    record view gives ``records`` back."""
+    sides = [(it.donor_group, it.recipient_group, it.donor_bin, it.recipient_bin) for it in records]
+    slopes = [(it.slope_decrease, it.slope_increase) for it in records]
+    trace = OptimizerTrace(
+        init_means,
+        *np.array(sides, dtype=np.int64).reshape(-1, 4).T.copy(),
+        *np.array(slopes, dtype=np.float64).reshape(-1, 2).T.copy(),
+        np.array([it.per_group_mean for it in records], dtype=np.float64).reshape(-1, len(init_means)),
+        reason,
+    )
+    assert repr(trace.iterations) == repr(tuple(records))
+    return trace
+
+
 def seeded(data, m_bins, alpha):
     return init_thresholds(data, None, equal_mass_bins(data.y, m_bins, data.label_domain), alpha)
 
@@ -561,7 +602,7 @@ class TestOptimizerMatchesReference:
             data, None, table0, state0, alpha, max_iters=max_iters
         )
         assert table.r_hat.tobytes() == want_table.r_hat.tobytes()
-        assert repr(trace) == repr(want_trace)  # every field; NaN slopes compare as text
+        assert_same_trace(trace, want_trace)
         return trace, move_kinds(trace, state0, alpha)
 
     def test_groups_bins_and_ties(self):
@@ -694,7 +735,9 @@ class TestOptimizerMatchesReference:
         assert kinds[cap - 1] == kinds[cap] == "exchange"
         trace, _ = self.assert_same(data, 8, 0.3, max_iters=cap)
         assert trace.termination_reason == MAX_ITERS
-        assert trace.iterations == full.iterations[:cap]
+        for name in TRACE_COLUMNS:
+            assert getattr(trace, name).tobytes() == getattr(full, name)[:cap].tobytes()
+        assert repr(trace.iterations) == repr(full.iterations[:cap])
 
     @given(calibration_cases(), st.one_of(st.none(), st.integers(1, 100)))
     def test_matches_reference_on_random_sets(self, case, max_iters):
@@ -752,7 +795,7 @@ class TestOptimizerProperties:
         table, trace = fair_calibrate(data, None, m_bins, alpha)
         shuffled_table, shuffled_trace = fair_calibrate(data.subset(order), None, m_bins, alpha)
         assert table.r_hat.tobytes() == shuffled_table.r_hat.tobytes()
-        assert repr(trace) == repr(shuffled_trace)
+        assert_same_trace(trace, shuffled_trace)
 
     @given(calibration_cases(groups=(1, 1)))
     def test_single_group_keeps_the_seed_table(self, case):
@@ -781,6 +824,59 @@ class TestOptimizerProperties:
         assert np.all(state.per_group_mean >= 0.7 - 1e-12)
 
 
+class TestTraceColumns:
+    @given(calibration_cases(), st.one_of(st.none(), st.integers(1, 100)))
+    def test_columns_agree_with_each_other_and_the_record_view(self, case, max_iters):
+        data, m_bins, alpha = case
+        _, trace = fair_calibrate(data, None, m_bins, alpha, max_iters=max_iters)
+        steps = trace.donor_group.size
+        assert steps <= (10 * data.n if max_iters is None else max_iters)
+        for name in TRACE_COLUMNS[:4]:
+            assert getattr(trace, name).dtype == np.int64
+            assert getattr(trace, name).shape == (steps,)
+        for name in TRACE_COLUMNS[4:6]:
+            assert getattr(trace, name).dtype == np.float64
+            assert getattr(trace, name).shape == (steps,)
+        assert trace.per_group_mean.dtype == np.float64
+        assert trace.per_group_mean.shape == (steps, data.group_count)
+        assert not any(getattr(trace, name).flags.writeable for name in TRACE_COLUMNS)
+        # an absent side: group -1, bin 0 and a NaN slope, each only with the others
+        for group, bin_, slope in (
+            (trace.donor_group, trace.donor_bin, trace.slope_decrease),
+            (trace.recipient_group, trace.recipient_bin, trace.slope_increase),
+        ):
+            absent = group == -1
+            np.testing.assert_array_equal(absent, bin_ == 0)
+            np.testing.assert_array_equal(absent, np.isnan(slope))
+            assert np.all(group[~absent] >= 0) and np.all(bin_[~absent] >= 1)
+            assert np.all(bin_ <= m_bins)
+        assert trace.summary()["iterations"] == steps
+        means = [trace.initial_per_group_mean] + [it.per_group_mean for it in trace.iterations]
+        assert trace.gaps() == [max(m) - min(m) for m in means]
+
+    def test_records_are_built_only_when_read(self, monkeypatch):
+        from faircov import fair_calibration
+
+        built = []
+
+        def counting(*args):
+            built.append(1)
+            return IterationRecord(*args)
+
+        monkeypatch.setattr(fair_calibration, "IterationRecord", counting)
+        data = calibration_set(300, 4, 3000, ties=0.1)
+        _, trace = fair_calibrate(data, None, 32, 0.2)
+        steps = trace.donor_group.size
+        assert steps > 0
+        trace.summary()
+        trace.gaps()
+        assert built == []
+        assert len(trace.iterations) == steps
+        assert len(built) == steps
+        assert trace.iterations is trace.iterations  # built once
+        assert len(built) == steps
+
+
 def _reference_eoc_optimize(
     cal: Dataset,
     model: QuantileModel | None,
@@ -802,7 +898,7 @@ def _reference_eoc_optimize(
     m_bins = table0.partition.m
     init_means = tuple(float(v) for v in state0.per_group_mean)
     if s_groups == 1:
-        return table0, OptimizerTrace(init_means, (), CONVERGED)
+        return table0, records_to_trace(init_means, (), CONVERGED)
 
     cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
     cells, counts = cell_scores.cells, cell_scores.counts
@@ -1004,4 +1100,4 @@ def _reference_eoc_optimize(
         partition=table0.partition,
         group_count=s_groups,
     )
-    return table, OptimizerTrace(init_means, tuple(iterations), reason)
+    return table, records_to_trace(init_means, iterations, reason)

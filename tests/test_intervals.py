@@ -140,6 +140,36 @@ class TestBandPieces:
         np.testing.assert_array_equal(r_hat, [[1.0, -3.0], [-3.0, 1.0]])
 
 
+class TestBandLayout:
+    """The report's widths keep their bits through the pieces' layout.
+
+    ``band_pieces`` returns F-ordered arrays, so ``union_widths``' axis-0
+    sum adds each record's contiguous column on its own, pairwise from
+    eight bins on. A C-ordered pair would be summed row by row and change
+    some widths in the last bit.
+    """
+
+    @pytest.mark.parametrize("m_bins", [8, 16, 33])
+    def test_widths_add_each_record_column_on_its_own(self, m_bins):
+        rng = np.random.default_rng(m_bins)
+        n, s_groups = 2000, 3
+        bounds = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 63.0, m_bins - 1)), [63.0]))
+        q_lo = rng.uniform(-5.0, 60.0, n)
+        q_hi = q_lo + rng.uniform(0.0, 20.0, n)
+        group = rng.integers(0, s_groups, n)
+        r_hat = rng.uniform(-2.0, 8.0, (m_bins, s_groups))
+        a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+        assert a.shape == b.shape == (m_bins, n)
+        assert a.flags.f_contiguous and b.flags.f_contiguous
+        lengths = b - a
+        lengths[lengths < 0.0] = 0.0
+        width, _ = union_widths(a, b)
+        want = np.array([np.add.reduce(np.ascontiguousarray(lengths[:, i])) for i in range(n)])
+        assert width.tobytes() == want.tobytes()
+        # row-by-row addition differs somewhere, so the layout shows
+        assert np.any(np.add.reduce(np.ascontiguousarray(lengths), axis=0) != want)
+
+
 class TestIntervalSet:
     def test_overlapping_pieces_merge(self):
         iv = IntervalSet.from_pieces([(1.0, 3.0), (2.0, 4.0), (6.0, 7.0)])

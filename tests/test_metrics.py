@@ -192,6 +192,17 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="median"):
             evaluate(six_record_fixture, None, thr)
 
+    def test_empty_test_set_rejected_up_front(self, six_record_fixture):
+        # before any figure is computed: no empty-slice warning, which the
+        # suite turns into an error, and no complaint about an empty bin
+        empty = make_dataset([], [], q_lo=[], q_hi=[], group_count=2)
+        for calibrator in (
+            self.table(six_record_fixture),
+            GlobalThreshold(method="cqr", alpha=0.1, r_hat=0.5, n_cal=6),
+        ):
+            with pytest.raises(ValidationError, match="cannot score an empty test set"):
+                evaluate(empty, None, calibrator)
+
     def test_unsupported_calibrator_rejected(self, six_record_fixture):
         with pytest.raises(ValidationError, match="unsupported"):
             evaluate(six_record_fixture, None, object())
