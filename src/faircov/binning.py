@@ -87,8 +87,9 @@ def equal_mass_bins(labels, m: int, label_domain: tuple[float, float]) -> BinPar
         raise ValidationError(
             "degenerate labels: duplicate values collapse adjacent bin cuts; reduce the bin count"
         )
-    partition = BinPartition(bounds=tuple(bounds), counts=tuple([1] * m))
-    counts = np.bincount(bin_indices(partition, y), minlength=m)
+    # a bin holds the labels from its lower cut up to its upper one, as
+    # bin_indices assigns them
+    counts = np.diff(np.searchsorted(ys, bounds[1:-1], side="left"), prepend=0, append=n)
     if counts.min() < 1:
         empty = int(np.argmin(counts)) + 1
         raise ValidationError(

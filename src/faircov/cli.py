@@ -47,7 +47,6 @@ from .core import (
 from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate, measure_coverage
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
-    _evaluate_blocks,
     comparison_header,
     comparison_row,
     evaluate,
@@ -291,7 +290,7 @@ def cmd_evaluate(o) -> Step:
     predictions = os.path.join(o.out_dir, "predictions.csv")
     try:
         with open(predictions, "w", newline="") as fh:
-            report = _evaluate_blocks(test, model, calibrator, csv.writer(fh))
+            report = evaluate(test, model, calibrator, csv.writer(fh))
     except ValidationError:
         os.remove(predictions)  # a rejected evaluation leaves no predictions file
         raise

@@ -9,28 +9,31 @@ coverage (the local slope of the empirical score quantile), until every
 group's bin-averaged coverage sits within one sample of the target.
 
 Within a cell, a threshold only matters through which of the cell's
-scores it covers, so during optimization thresholds are re-expressed on
-the cell score order statistics; moving to the adjacent order statistic
-is exactly "cover one fewer (or one more) sample". Cells covering at
-most one record are never drained further, which keeps every exchange
-width-bounded.
+scores it covers, so the optimizer's one piece of per-cell state is the
+(M, S) table of covered counts. Every cell's seed threshold and sorted
+scores lie end to end in one array, so a cell's threshold is the entry
+its count points at, and its two slopes, the width per record of
+covering one fewer or one more sample, are the spacings on either side
+of that entry. Moving to the adjacent order statistic is exactly "cover
+one fewer (or one more) sample". Cells covering at most one record are
+never drained further, which keeps every exchange width-bounded.
 
 A group's moves depend only on its own cells, so the paired exchanges
 are taken in runs: a run builds each of its donors' and recipients'
 greedy moves at once in numpy as a move stream, merges the streams by
-their group means, applies the moves and drops the streams. Single
-moves, picked from two slope tables that a move refreshes only for the
-cells it changes, remain for what a run cannot take: lone drops and
-adds, a donor that is exhausted or tie-locked, an add that carries its
-group past its window, the iteration cap and the width cleanup.
+their group means, adds the moves to the covered counts and drops the
+streams. Single moves, picked from the slope tables read off the counts,
+remain for what a run cannot take: lone drops and adds, a donor that is
+exhausted or tie-locked, an add that carries its group past its window,
+the iteration cap and the width cleanup.
 
 A group's mean is its bins' coverage rates added in bin order, then
-divided by M: ``reduce(add)`` over Python floats in a single move, the
-same additions row by row over a stream's (M, moves) rates in a run.
-Both are numpy's axis-0 reduction of the (M, S) rates bit for bit, while
-the builtin ``sum`` compensates from Python 3.12 on and numpy's sum of
-one column adds partial sums. The means decide tie breaks and go into
-the trace, so their last bit is part of the output.
+divided by M: numpy's axis-0 reduction of the C-ordered (M, S) rates
+after a single move, the same additions row by row, with
+``reduce(add)``, over a stream's (M, moves) rates in a run. Numpy's sum
+of a single column, (M, 1), adds partial sums instead, and the builtin
+``sum`` compensates from Python 3.12 on. The means decide tie breaks and
+go into the trace, so their last bit is part of the output.
 
 The :class:`OptimizerTrace` holds the moves as columns: a run writes its
 moves' rows from the arrays it already holds, a single move appends one
@@ -165,10 +168,14 @@ class CellScores:
         cells = [[np.sort(split[m * s_groups + s]) for s in range(s_groups)] for m in range(m_bins)]
         return cls(scores=scores, bins=bins0, cells=cells, counts=counts, partition=partition)
 
+    def covered(self, r_hat: np.ndarray) -> np.ndarray:
+        """How many of each cell's scores are at or below its threshold, (M, S)."""
+        rows = zip(self.cells, r_hat)
+        return np.array([[_covered_count(c, r) for c, r in zip(*row)] for row in rows], dtype=np.int64)
+
     def coverage(self, r_hat: np.ndarray) -> "CoverageState":
         """Share of each cell's scores at or below its threshold."""
-        covered = [[_covered_count(c, r) for c, r in zip(*row)] for row in zip(self.cells, r_hat)]
-        beta = np.array(covered) / self.counts
+        beta = self.covered(r_hat) / self.counts
         return CoverageState(beta=beta, per_group_mean=beta.mean(axis=0), cells=self)
 
 
@@ -318,8 +325,24 @@ def _inc_slope(cell: np.ndarray, k: int, current: float) -> float:
     return max(0.0, cell.item(k) - base) / cell.size
 
 
+def _lay_out(cells: CellScores, seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells end to end in one array, and where each cell starts.
+
+    ``flat`` holds, bin-major, each cell's seed threshold followed by its
+    sorted scores, then a spare 0.0; ``first[m, s]`` is the position of
+    cell (m, s)'s seed. A cell covering ``k`` scores has its threshold at
+    ``flat[first + k]``: the seed when it covers none, else its covering
+    order statistic.
+    """
+    sizes = cells.counts.ravel()
+    starts = np.cumsum(sizes) - sizes
+    scores = np.concatenate([*(c for row in cells.cells for c in row), [0.0]])
+    flat = np.insert(scores, starts, seed.ravel())
+    return flat, (starts + np.arange(sizes.size)).reshape(cells.counts.shape)
+
+
 class _MoveStream:
-    """One group's greedy moves in one direction, from the state it was built on.
+    """One group's greedy moves in one direction, from the covered counts it was built on.
 
     A stream lives for one run: the run builds the streams of its donors
     and recipients, takes its exchanges and drops them. Drops take the
@@ -331,60 +354,52 @@ class _MoveStream:
     ties go to the lower bin, then the earlier move. Drops read every
     covered score and end at a bin's first zero slope, a tie that cannot
     move, so a drop stream is empty exactly when no bin has a positive
-    decrease slope. An add stream has a move while any cell has room; a
-    recipient, below the target, always has one.
+    decrease slope. An add stream has a move while any cell has room, so
+    it is empty exactly when every cell is full.
 
-    ``bins[j]``, ``ks[j]``, ``thrs[j]`` and ``slopes[j]`` are move ``j``'s
-    bin, the bin's covered count and threshold after it, and the slope
-    the trace records. ``mu[t]`` is the group mean after ``t`` moves,
-    computed in chunks as the run asks for it.
+    ``flat`` is the layout of :func:`_lay_out`; ``first``, ``sizes`` and
+    ``k`` are the group's columns of cell starts, cell sizes and covered
+    counts. The stream gathers its ``(M, depth)`` rows, one per bin, from
+    ``flat`` at once. ``bins[j]``, ``deltas[j]`` and ``slopes[j]`` are move ``j``'s bin, the
+    change of that bin's covered count, and the slope the trace records.
+    ``mu[t]`` is the group mean after ``t`` moves, computed in chunks as
+    the run asks for it.
     """
 
-    def __init__(self, cells, sizes: list[int], k: list[int], thr: list[float], drop: bool):
-        self.sizes = np.array(sizes)
-        self.k_end = np.array(k)  # covered counts at state mu.size - 1
-        self.mu = reduce(add, (self.k_end / self.sizes)[:, None]) / len(sizes)
-        m_bins, size = len(sizes), self.sizes[:, None]
+    def __init__(self, flat, first, sizes, k, drop: bool):
+        self.sizes = sizes
+        self.k_end = k.copy()  # covered counts at state mu.size - 1
+        self.mu = reduce(add, (k / sizes)[:, None]) / sizes.size
+        size = sizes[:, None]
         if drop:
-            # row m: the bin's covered scores from the top, then its last
-            # score repeated, at least once
-            depth = np.maximum(self.k_end - 1, 0)
-            top = np.empty((m_bins, int(depth.max()) + 2))
-            for row, c, km, d in zip(top, cells, np.maximum(self.k_end, 1).tolist(), depth.tolist()):
-                row[: d + 1] = c[km - 1 - d : km][::-1]
-                row[d + 1 :] = row[d]
+            # row m: the bin's covered scores from the top, then its
+            # lowest score repeated, at least once
+            width = max(int(k.max()), 1) + 1
+            top = flat[first[:, None] + np.maximum(k[:, None] - np.arange(width), 1)]
             gaps = (top[:, :-1] - top[:, 1:]) / size  # move j lands on row[j + 1]
             keys = np.minimum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(keys > 0.0)  # each bin up to its first tie
             order = moves[np.argsort(-keys.ravel()[moves], kind="stable")]
-            bins, j = np.divmod(order, gaps.shape[1])
-            self.ks = self.k_end[bins] - 1 - j
+            bins = order // gaps.shape[1]
             self.deltas = np.full(order.size, -1)
-            self.thrs = top[bins, j + 1]
         else:
-            # row m: the bin's uncovered scores, then +inf; only a bin's
-            # first score of each value is a move, the others step by zero
-            tails = self.sizes - self.k_end
-            scores = np.full((m_bins, int(tails.max()) + 1), np.inf)
-            for row, c, km in zip(scores, cells, k):
-                row[: c.size - km] = c[km:]
-            base = np.array([c.item(km - 1) if km else t for c, km, t in zip(cells, k, thr)])
-            below = np.concatenate((base[:, None], scores[:, :-1]), axis=1)
+            # row m: the bin's threshold, then its uncovered scores; only a
+            # bin's first score of each value is a move, the others step by
+            # zero. Past a bin's scores the row is padding.
+            tails = sizes - k
+            row = flat.take(first[:, None] + k[:, None] + np.arange(int(tails.max()) + 2), mode="clip")
+            below, scores = row[:, :-1], row[:, 1:]
             real = np.arange(scores.shape[1]) < tails[:, None]
-            gaps = np.zeros_like(scores)
-            np.subtract(scores, below, out=gaps, where=real)
-            gaps /= size
+            gaps = np.where(real, scores - below, 0.0) / size
             keys = np.maximum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(real & (scores != below))
             move_bins, j = np.divmod(moves, scores.shape[1])
-            next_j = np.append(j[1:], 0)  # where the bin's next move starts
-            last = np.append(move_bins[1:] != move_bins[:-1], True)
-            next_j[last] = tails[move_bins[last]]
+            last = np.diff(move_bins, append=sizes.size) != 0  # a bin's last move
+            # where the bin's next move starts, or its tail's end
+            next_j = np.where(last, tails[move_bins], np.roll(j, -1))
             rank = np.argsort(keys.ravel()[moves], kind="stable")
             order, bins = moves[rank], move_bins[rank]
-            self.ks = self.k_end[bins] + next_j[rank]
             self.deltas = (next_j - j)[rank]
-            self.thrs = scores.ravel()[order]
         self.bins, self.slopes, self.size = bins, gaps.ravel()[order], order.size
 
     def span(self, inside, limit: int) -> int:
@@ -399,7 +414,7 @@ class _MoveStream:
 
     def _extend(self, upto: int) -> None:
         # states mu.size .. upto-1; a group mean adds its bins in order, as
-        # the move loop's reduce(add) does
+        # eoc_optimize's axis-0 reduction of the (M, S) rates does
         moves = np.arange(self.mu.size - 1, upto - 1)
         d = np.zeros((self.sizes.size, moves.size), dtype=np.int64)
         d[self.bins[moves], np.arange(moves.size)] = self.deltas[moves]
@@ -484,13 +499,20 @@ def eoc_optimize(
     is ``converged``). Slopes are recorded per move so the width
     economics of every move stay observable in the trace's columns.
 
-    Before iterating, every threshold is re-expressed on the covering
-    order statistic of its cell, which releases pure slack as width
-    without touching coverage. Every phase then takes the moves two
-    slope tables pick: the width saved by dropping each cell's top
-    covered sample (``-inf`` where fewer than two are covered) and the
-    width paid by covering its next one (``+inf`` where the cell is
-    full), refreshed only for the cells a move changes. Ties go to the
+    The state is one ``(M, S)`` table ``k`` of covered counts. Before
+    iterating, each cell's count is that of its seed threshold, and every
+    threshold is re-expressed on the covering order statistic of its
+    cell, which releases pure slack as width without touching coverage.
+    Every phase then takes the moves two slope tables pick: the width
+    saved by dropping each cell's top covered sample (``-inf`` where
+    fewer than two are covered) and the width paid by covering its next
+    one (``+inf`` where the cell is full). The thresholds, both slope
+    tables and the group means are read off ``k``. Each cell's seed
+    threshold and sorted scores lie end to end in one array ``flat``,
+    cell (m, s) from ``first[m, s]`` on, so its threshold is
+    ``flat[first + k]``, its slopes are ``flat``'s spacings per record on
+    either side of that entry, and the group means are
+    ``np.add.reduce(k / counts, axis=0) / M``. Ties go to the
     first cell in bin-major order. After the loop converges, a width
     cleanup alternates two greedy passes until neither moves: a trim pass
     sheds covered records the floors do not need, widest spacing first,
@@ -503,8 +525,7 @@ def eoc_optimize(
 
     Every threshold sits on its cell's covering order statistic, so a
     drop that moves covers exactly one sample fewer, and an add exactly
-    one more unless the newly covered score ties the next one; only then
-    is the covered count searched again.
+    one more unless the newly covered score ties the next ones.
 
     Paired exchanges are taken in runs. A group's moves depend only on
     its own cells, so a run builds each donor's greedy drops (and each
@@ -517,25 +538,16 @@ def eoc_optimize(
     picks are the donors' before-move means sorted descending and the
     recipient picks the recipients' sorted ascending, ties to the lower
     group, then the earlier move; the run's rows of the trace are
-    written from those arrays. The run then applies its moves to the
-    state and drops its streams. No run starts while the top donor has no
-    positive decrease slope.
+    written from those arrays. The run then adds its moves to ``k`` and
+    drops its streams. No run starts while the top donor has no positive
+    decrease slope. Single moves take the steps a run cannot: lone drops
+    and adds, an exhausted or tie-locked donor, and the cleanup; a run
+    also ends after an add that carries its group past its window, as
+    the group may donate next.
 
-    Single moves keep Python scalars in group-major lists (entry
-    ``[s][m]`` is cell ``(m, s)``): covered counts, thresholds, coverage
-    rates, the two slope tables, the group means and the pooled covered
-    count. They take the steps a run cannot: lone drops and adds, an
-    exhausted or tie-locked donor, and the cleanup; a run also ends
-    after an add that carries its group past its window, as the group
-    may donate next. A group's best cell is ``col.index(max(col))`` (or
-    ``min``), the first of equal candidates, as ``argmax`` picks it. A
-    single move recomputes only its groups' means, as
-    ``reduce(add, rates) / M``; a stream adds the same bins in the same
-    order, row by row over its rates. The means decide tie breaks and go
-    into the trace, so the summation order is part of the output: never
-    the builtin ``sum``, which compensates from Python 3.12 on. The
-    cleanup builds its ``(M, S)`` and ``(MS, MS)`` arrays from the lists
-    on each move.
+    A group mean adds its bins' rates in bin order, in a single move and
+    in a stream alike. The means decide tie breaks and go into the trace,
+    so the summation order is part of the output.
 
     A ``state0`` of another calibration set or partition raises
     ValidationError. With a single group the input table is returned
@@ -556,33 +568,27 @@ def eoc_optimize(
 
     cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
     counts = cell_scores.counts
-    groups = range(s_groups)
-    cells = list(zip(*cell_scores.cells))
+    k = cell_scores.covered(table0.r_hat)
+    flat, first = _lay_out(cell_scores, table0.r_hat)
     del cell_scores  # its (n,) scores and bins would outlive their use by the whole run
-    sizes = counts.T.tolist()
-    thr = np.asarray(table0.r_hat, dtype=np.float64).T.tolist()
-    k = [[0] * m_bins for _ in groups]
-    rate = [[0.0] * m_bins for _ in groups]  # k / count
-    dec = [[0.0] * m_bins for _ in groups]  # the slope tables
-    inc = [[0.0] * m_bins for _ in groups]
+    # width change per record of moving a threshold from flat[p] to flat[p + 1]
+    spacing = np.diff(flat) / np.repeat(counts.ravel(), counts.ravel() + 1)
+    groups = range(s_groups)
 
-    def refresh(s: int, m: int) -> None:
-        cell, km, size = cells[s][m], k[s][m], sizes[s][m]
-        rate[s][m] = km / size
-        dec[s][m] = _dec_slope(cell, km) if km >= 2 else -math.inf
-        inc[s][m] = _inc_slope(cell, km, thr[s][m]) if km < size else math.inf
+    def drops(c=slice(None)) -> np.ndarray:
+        # the decrease slopes of the cells in columns c
+        kc = k[:, c]
+        return np.where(kc >= 2, spacing[first[:, c] + kc - 1], -np.inf)
 
-    # Re-express thresholds on the covering order statistic of each cell.
-    # Coverage is unchanged, pure threshold slack is released as width,
-    # and every later move lands exactly on an adjacent order statistic.
-    # Cells covering nothing keep their seed threshold below the minimum.
-    for s in groups:
-        for m in range(m_bins):
-            k[s][m] = _covered_count(cells[s][m], thr[s][m])
-            if k[s][m] >= 1:
-                thr[s][m] = cells[s][m].item(k[s][m] - 1)
-            refresh(s, m)
-    covered = sum(map(sum, k))  # ints, so any order is exact
+    def adds(c=slice(None)) -> np.ndarray:
+        # the increase slopes of the cells in columns c
+        kc = k[:, c]
+        return np.where(kc < counts[:, c], spacing[first[:, c] + kc], np.inf)
+
+    def means() -> list[float]:
+        # bins added in order: k stays C-ordered, so the axis-0 reduction
+        # adds the rows one by one
+        return (np.add.reduce(k / counts, axis=0) / m_bins).tolist()
 
     band = 1.0 / counts.min(axis=0)  # documented tolerance per group
     # Park each group in the one-sided window [target, target + stop],
@@ -600,48 +606,37 @@ def eoc_optimize(
     cell_weight = 1.0 / (m_bins * s_groups)
     quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
 
-    def group_mean(s: int) -> float:
-        # bins added in order: the bits of np.add.reduce(rates, axis=0) / M
-        return reduce(add, rate[s]) / m_bins
-
-    def shift(s: int, m: int, offset: int) -> bool:
-        # Move cell (m, s) to the order statistic ``offset`` places from
-        # its covering one: -1 drops one covered sample, +1 covers one
-        # more. False when tied scores leave the threshold where it was.
-        # A drop that moves lands on exactly k - 1, an add on k + 1 unless
-        # the newly covered score ties the next one.
-        nonlocal covered
-        cell, km = cells[s][m], k[s][m] + offset
-        new_thr = cell.item(km - 1)
-        if new_thr == thr[s][m]:
+    def shift(m: int, s: int, offset: int) -> bool:
+        # Move cell (m, s)'s threshold ``offset`` places along flat: -1
+        # drops one covered sample, +1 covers one more. False when tied
+        # scores leave the threshold where it was. The count becomes the
+        # new threshold's: k - 1 for a drop that moves, k + 1 for an add
+        # unless the newly covered score ties the next one.
+        at = first[m, s] + k[m, s]
+        new = flat[at + offset]
+        if new == flat[at]:
             return False
-        if offset > 0 and km < sizes[s][m] and cell.item(km) == new_thr:
-            km = _covered_count(cell, new_thr)
-        covered += km - k[s][m]
-        thr[s][m] = new_thr
-        k[s][m] = km
-        refresh(s, m)
+        start = first[m, s] + 1
+        k[m, s] = _covered_count(flat[start : start + counts[m, s]], new)
         return True
 
-    def run(over: list[int], under: list[int], s1: int, s2: int) -> int:
-        # Takes the paired exchanges ahead, from donor s1 and recipient s2
-        # on, as one run and returns how many. Donors only fall and
-        # recipients only rise, so the picks are the donors' before-move
-        # means sorted descending and the recipients' sorted ascending,
-        # ties to the lower group, then the earlier move. A run stops
-        # before a donor with no move left and after an add that carries
-        # its group past its window; a recipient fills up only at mean 1,
-        # above its window. The run's streams are built from the state it
-        # starts on and dropped at its end.
-        nonlocal covered, steps
-        if max(dec[s1]) <= 0.0:
-            return 0  # the donor's drop stream is empty
+    def run(over: list[int], under: list[int]) -> int:
+        # Takes the paired exchanges ahead as one run and returns how
+        # many. Donors only fall and recipients only rise, so the picks
+        # are the donors' before-move means sorted descending and the
+        # recipients' sorted ascending, ties to the lower group, then the
+        # earlier move. A run stops before a donor with no move left and
+        # after an add that carries its group past its window; a
+        # recipient fills up only at mean 1, above its window. The run's
+        # streams are built from the counts it starts on and dropped at
+        # its end.
+        nonlocal mu, steps
         budget = max_iters - steps
         streams, ends, sides = {}, np.zeros(s_groups, dtype=np.int64), []
         for groups_, sign in ((over, -1), (under, 1)):
             mus, gs, ts = [], [], []
             for s in groups_:
-                st = streams[s] = _MoveStream(cells[s], sizes[s], k[s], thr[s], sign < 0)
+                st = streams[s] = _MoveStream(flat, first[:, s], counts[:, s], k[:, s], sign < 0)
                 if sign < 0:
                     n = st.span(lambda v: v - level > slack[s], budget)
                 else:
@@ -675,20 +670,15 @@ def eoc_optimize(
         if crossed.size:
             n = int(crossed[0]) + 1
             block, g1, g2 = block[:n], g1[:n], g2[:n]
-        means = block[:, 6:]
-        means[:] = mu  # a waiting group keeps its current mean
+        after = block[:, 6:]
+        after[:] = mu  # a waiting group keeps its current mean
         for g in (g1, g2):
             for s in set(g.tolist()):
                 st, moved = streams[s], np.cumsum(g == s)
                 b = int(moved[-1])
-                means[:, s] = st.mu[moved]
-                changed = st.bins[:b].tolist()
-                for m, km, t in zip(changed, st.ks[:b].tolist(), st.thrs[:b].tolist()):
-                    k[s][m], thr[s][m] = km, t
-                for m in set(changed):
-                    refresh(s, m)
-                covered += int(st.deltas[:b].sum())
-                mu[s] = st.mu.item(b)
+                after[:, s] = st.mu[moved]
+                np.add.at(k[:, s], st.bins[:b], st.deltas[:b])
+        mu = means()
         flush()
         blocks.append(block)
         steps += n
@@ -697,7 +687,7 @@ def eoc_optimize(
     steps = 0
     blocks = [np.empty((0, 6 + s_groups))]  # the trace so far, as (moves, 6 + S) blocks
     rows: list[tuple] = []  # single moves since the last block, one row each
-    mu = [group_mean(s) for s in groups]
+    mu = means()
 
     def flush() -> None:
         if rows:
@@ -705,17 +695,15 @@ def eoc_optimize(
             rows.clear()
 
     def record(s1, s2, m1, m2, d_slope, i_slope) -> None:
-        # refreshes the moved groups' means, which the next move starts from
-        nonlocal steps
-        for s in (s1, s2):
-            if s >= 0:
-                mu[s] = group_mean(s)
+        # the group means after the move, which the next move starts from
+        nonlocal mu, steps
+        mu = means()
         b1, b2 = m1 + 1 if s1 >= 0 else 0, m2 + 1 if s2 >= 0 else 0
         rows.append((s1, s2, b1, b2, d_slope, i_slope, *mu))
         steps += 1
 
     # max and min keep the first of equal candidates, so ties go to the
-    # lowest group, and list.index to the lowest bin.
+    # lowest group, and argmax and argmin to the lowest bin.
     slack = (stop + eps).tolist()
     floor = level - eps
     reason: str | None = None
@@ -728,8 +716,6 @@ def eoc_optimize(
         if over and under:
             s1 = max(over, key=mu.__getitem__)
             s2 = min(under, key=mu.__getitem__)
-            if run(over, under, s1, s2):
-                continue
         elif over:
             s1, s2 = max(groups, key=mu.__getitem__), -1  # every group at or above level
         else:
@@ -738,23 +724,28 @@ def eoc_optimize(
         m1 = m2 = -1
         d_slope = i_slope = math.nan
         if s1 >= 0:
-            d_slope = max(dec[s1])
+            dec = drops(s1)
+            m1 = int(dec.argmax())
+            d_slope = dec[m1]
+            # a donor with a positive decrease slope has a drop stream
+            if s2 >= 0 and d_slope > 0.0 and run(over, under):
+                continue
             if d_slope == -math.inf:
                 reason = SLOPE_CROSSOVER  # donor has nothing left to give
                 break
-            m1 = dec[s1].index(d_slope)
         if s2 >= 0:
-            i_slope = min(inc[s2])
+            inc = adds(s2)
+            m2 = int(inc.argmin())
+            i_slope = inc[m2]
             assert i_slope < math.inf, "a recipient is below 1 - alpha, so a cell has room"
-            m2 = inc[s2].index(i_slope)
-        if s1 >= 0 and s2 < 0 and covered - 1 < k_floor:
+        if s1 >= 0 and s2 < 0 and k.sum() - 1 < k_floor:
             # a lone drop spends pooled coverage; keep the covered count
             # at or above the overall floor
             reason = SLOPE_CROSSOVER
             break
 
-        moved = s1 >= 0 and shift(s1, m1, -1)
-        moved = (s2 >= 0 and shift(s2, m2, 1)) or moved
+        moved = s1 >= 0 and shift(m1, s1, -1)
+        moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
         if not moved:
             reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
             break
@@ -783,18 +774,17 @@ def eoc_optimize(
         while progress and reason == CONVERGED:
             progress = False
 
-            while covered > k_floor:
-                gain = np.where(np.array(mu) - quantum >= level - eps, np.array(dec).T, -np.inf)
+            while k.sum() > k_floor:
+                gain = np.where(np.array(mu) - quantum >= level - eps, drops(), -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] <= 0.0:
                     break  # a zero slope is a tie, which a drop cannot move
                 if steps == max_iters:
                     reason = MAX_ITERS
                     break
-                d_slope = dec[s1][m1]
-                shift(s1, m1, -1)
+                shift(m1, s1, -1)
                 progress = True
-                record(s1, -1, m1, 0, d_slope, math.nan)
+                record(s1, -1, m1, 0, gain[m1, s1], math.nan)
 
             while reason == CONVERGED:
                 # rows: the donor cell, columns: the recipient cell
@@ -806,8 +796,8 @@ def eoc_optimize(
                     (level - eps <= post) & (post <= ceiling[:, None]),
                     (mu1 >= level - eps) & (mu2 <= ceiling[None, :]),
                 )
-                spread = np.array(dec).T.ravel()[:, None] - np.array(inc).T.ravel()[None, :]
-                gain = np.where(ok, spread, -np.inf)
+                dec, inc = drops(), adds()
+                gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
                 np.fill_diagonal(gain, -np.inf)
                 a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
                 if gain[a, b] <= 0.0:
@@ -816,14 +806,14 @@ def eoc_optimize(
                     reason = MAX_ITERS
                     break
                 (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
-                d_slope, i_slope = dec[s1][m1], inc[s2][m2]
-                shift(s1, m1, -1)
-                shift(s2, m2, 1)
+                d_slope, i_slope = dec[m1, s1], inc[m2, s2]
+                shift(m1, s1, -1)
+                shift(m2, s2, 1)
                 progress = True
                 record(s1, s2, m1, m2, d_slope, i_slope)
 
     table = ThresholdTable(
-        r_hat=np.array(thr).T,
+        r_hat=flat[first + k],
         global_r_hat=table0.global_r_hat,
         alpha=alpha,
         partition=table0.partition,
@@ -831,6 +821,7 @@ def eoc_optimize(
     )
     flush()
     return table, _trace(init_means, np.concatenate(blocks), reason)
+
 
 def fair_calibrate(
     cal: Dataset,

@@ -146,18 +146,6 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
     return q_lo, q_hi, partition, r_hat, point, fallback, source
 
 
-def evaluate(test: Dataset, model: QuantileModel | None, calibrator) -> EvalReport:
-    """Score a calibrated predictor on a test split.
-
-    Accepts either a single global shift or a per-(bin, group) table;
-    global shifts are evaluated as a one-bin table spanning the label
-    domain, so both paths share the same interval arithmetic. Point
-    predictions come from the model median when available, otherwise the
-    midpoint of the raw band.
-    """
-    return _evaluate_blocks(test, model, calibrator)
-
-
 # Records per block of the test-set walk: its (M, block) piece arrays and,
 # when it writes predictions, the block's text are all it holds at once.
 _BLOCK = 4096
@@ -175,14 +163,21 @@ def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
     return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
 
 
-def _evaluate_blocks(test: Dataset, model, calibrator, writer=None) -> EvalReport:
-    """:func:`evaluate` in one walk over ``test``, ``_BLOCK`` records at a time.
+def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None) -> EvalReport:
+    """Score a calibrated predictor on a test split, ``_BLOCK`` records at a time.
 
-    A ``csv.writer`` gets ``predictions.csv``: a header, then one row per
-    record with its id, group, the text of its :class:`IntervalSet`, its
-    fallback point when it has no component, covered, and the merged
-    union's width. The report reads the per-record arrays of the whole
-    walk, so no figure depends on the block.
+    Accepts either a single global shift or a per-(bin, group) table;
+    global shifts are evaluated as a one-bin table spanning the label
+    domain, so both paths share the same interval arithmetic. Point
+    predictions come from the model median when available, otherwise the
+    midpoint of the raw band.
+
+    A ``csv.writer`` gets ``predictions.csv`` in the same walk: a header,
+    then one row per record with its id, group, the text of its
+    :class:`IntervalSet`, its fallback point when it has no component,
+    covered, and the merged union's width. The report reads the
+    per-record arrays of the whole walk, so no figure depends on the
+    block.
     """
     if test.n == 0:
         raise ValidationError("cannot score an empty test set")

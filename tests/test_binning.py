@@ -79,6 +79,22 @@ class TestEqualMassBins:
             if i < part.m - 1:
                 assert y < hi
 
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.5 * i for i in range(1, 8)]), st.floats(0.0, 10.0)),
+            min_size=2,
+            max_size=60,
+        ),
+        st.integers(1, 6),
+    )
+    def test_counts_are_the_assigned_labels(self, labels, m):
+        assume(m <= len(labels))
+        try:
+            part = equal_mass_bins(labels, m, (0.0, 10.0))
+        except ValidationError:
+            return
+        assert part.counts == tuple(np.bincount(bin_indices(part, labels), minlength=m).tolist())
+
 
 class TestAssignBin:
     def part(self):

@@ -37,6 +37,7 @@ from faircov.fair_calibration import (
     _covered_count,
     _dec_slope,
     _inc_slope,
+    _lay_out,
     _MoveStream,
     eoc_optimize,
 )
@@ -746,19 +747,18 @@ class TestOptimizerMatchesReference:
     @given(calibration_cases())
     def test_empty_streams_show_in_the_slope_tables(self, case):
         # a run returns at once when its donor's drop stream is empty,
-        # read off the decrease slopes; a recipient, below the target, has
-        # a cell with room, and so an add
+        # read off the decrease slopes; an add stream is empty exactly
+        # when every cell of its group is full
         data, m_bins, alpha = case
         table0, state0 = seeded(data, m_bins, alpha)
+        flat, first = _lay_out(state0.cells, table0.r_hat)
+        counts, k = state0.cell_counts, state0.cells.covered(table0.r_hat)
         for s in range(data.group_count):
             cells = [state0.cells.cells[m][s] for m in range(m_bins)]
-            thr = table0.r_hat[:, s].tolist()
-            k = [_covered_count(c, t) for c, t in zip(cells, thr)]
-            sizes = [c.size for c in cells]
-            dec = [_dec_slope(c, km) if km >= 2 else -math.inf for c, km in zip(cells, k)]
-            assert (_MoveStream(cells, sizes, k, thr, True).size == 0) == (max(dec) <= 0.0)
-            if k != sizes:
-                assert _MoveStream(cells, sizes, k, thr, False).size > 0
+            dec = [_dec_slope(c, km) if km >= 2 else -math.inf for c, km in zip(cells, k[:, s])]
+            column = flat, first[:, s], counts[:, s], k[:, s]
+            assert (_MoveStream(*column, True).size == 0) == (max(dec) <= 0.0)
+            assert (_MoveStream(*column, False).size == 0) == bool(np.all(k[:, s] == counts[:, s]))
 
     def test_trim_stops_at_a_tied_drop(self):
         # after the lone drops, a trim's best decrease slope is a tie that

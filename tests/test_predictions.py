@@ -23,7 +23,7 @@ from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel,
 from faircov.binning import BinPartition
 from faircov.conformal import band_columns
 from faircov.intervals import band_pieces, union_covered, union_widths
-from faircov.metrics import _evaluate_blocks, _resolve_band, evaluate, report_to_json
+from faircov.metrics import _resolve_band, evaluate, report_to_json
 
 from conftest import make_dataset
 
@@ -110,7 +110,7 @@ def reference_report(test, model, calibrator) -> str:
 def write_predictions(path, test, model, calibrator):
     """``predictions.csv`` as ``faircov evaluate`` writes it; returns the report."""
     with open(path, "w", newline="") as fh:
-        return _evaluate_blocks(test, model, calibrator, csv.writer(fh))
+        return evaluate(test, model, calibrator, csv.writer(fh))
 
 
 def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
