@@ -4,10 +4,15 @@ A calibrated prediction is the union over label bins of the band
 ``[q_lo - r, q_hi + r]`` intersected with the bin, where the shift ``r``
 depends on the record's group and the bin. Only the kernel
 :func:`band_pieces` computes it: every other band user reads its clipped
-piece bounds. Components touching at a bin bound merge, and bin pieces
-are closed at merge time (a measure-zero change from the half-open
-bins), so every :class:`IntervalSet` is a set of closed, pairwise
-disjoint, ascending intervals. When every piece is empty the prediction
+piece bounds. The pieces are C-ordered ``(M, n)`` arrays, one contiguous
+row per bin, so every compare and mask runs along records; a caller
+walking records in blocks can hand the kernel the same two buffers for
+every block. :func:`union_widths` adds each record's piece lengths in
+numpy's pairwise order, so a width has the bits of ``np.add.reduce`` over
+that record's lengths. Components touching at a bin bound merge, and bin
+pieces are closed at merge time (a measure-zero change from the
+half-open bins), so every :class:`IntervalSet` is a set of closed,
+pairwise disjoint, ascending intervals. When every piece is empty the prediction
 degenerates to a zero-width fallback point.
 """
 
@@ -100,19 +105,23 @@ def band_pieces(
     group: np.ndarray,
     r_hat: np.ndarray,
     bounds: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The interval kernel: clipped band pieces of every record in every bin.
 
-    Returns ``(a, b)`` of shape ``(M, n)``. Piece ``m`` of record ``i``
-    is ``[max(q_lo[i] - r, bounds[m]), min(q_hi[i] + r, bounds[m + 1])]``
+    Returns ``(a, b)``, C-ordered of shape ``(M, n)``: row ``m`` holds
+    every record's piece in bin ``m``. Piece ``m`` of record ``i`` is
+    ``[max(q_lo[i] - r, bounds[m]), min(q_hi[i] + r, bounds[m + 1])]``
     with ``r = r_hat[m, group[i]]``. It is empty where ``b < a``; a
-    zero-width piece (``a == b``) still counts. Only ``a`` and ``b`` are
-    allocated at full size.
+    zero-width piece (``a == b``) still counts. ``out`` is a pair of
+    ``(M, n)`` float arrays with contiguous rows to write ``a`` and ``b``
+    into; without it both are allocated.
     """
-    r = r_hat[:, group]  # a fresh (M, n) copy, reused for b
-    a = q_lo - r
+    r = np.take(r_hat, group, axis=1)
+    a, b = (None, r) if out is None else out  # without buffers, b takes r's place
+    a = np.subtract(q_lo, r, out=a)
     np.maximum(a, bounds[:-1, None], out=a)
-    b = np.add(q_hi, r, out=r)
+    b = np.add(q_hi, r, out=b)
     np.minimum(b, bounds[1:, None], out=b)
     return a, b
 
@@ -144,28 +153,64 @@ def predict_interval(
     return IntervalSet.from_pieces(list(zip(a[:, 0].tolist(), b[:, 0].tolist())), fallback)
 
 
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    """Each column's sum over the rows, added in numpy's pairwise order.
+
+    ``np.add.reduce`` of one contiguous column adds under 8 values left to
+    right; 8 to 128 values in eight running sums, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in order; and
+    more by splitting at half the count, rounded down to a multiple of 8.
+    Here each step adds whole rows, so every column gets that order. The
+    sum is built in ``rows``, which it overwrites; it returns a view of
+    its first row. A zero sum's sign may differ from numpy's.
+    """
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_rows(rows[:half])
+        total += _pairwise_rows(rows[half:])
+        return total
+    total = rows[0]
+    if n < 8:
+        for row in rows[1:]:
+            total += row
+        return total
+    stop = n - n % 8
+    sums = rows[:8]
+    for i in range(8, stop, 8):
+        sums += rows[i : i + 8]
+    sums[0::2] += sums[1::2]
+    sums[0::4] += sums[2::4]
+    total += sums[4]
+    for row in rows[stop:]:
+        total += row
+    return total
+
+
 def union_widths(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union widths of the :func:`band_pieces` pair ``(a, b)``.
 
     Returns ``(width, has_piece)`` arrays over records. The width is the
-    sum of the per-bin piece lengths; it can differ from the merged
-    union's :meth:`IntervalSet.total_width` in the last bit. The lengths
-    are written into ``b``, so read anything else from the pair first.
+    sum of the per-bin piece lengths, with the bits of ``np.add.reduce``
+    over each record's lengths; it can differ from the merged union's
+    :meth:`IntervalSet.total_width` in the last bit. The lengths are
+    written into ``b``, so read anything else from the pair first.
     """
     length = np.subtract(b, a, out=b)
-    valid = length >= 0.0
-    length[~valid] = 0.0
-    return length.sum(axis=0), valid.any(axis=0)
+    has_piece = (length >= 0.0).any(axis=0)
+    np.maximum(0.0, length, out=length)  # keeps a -0.0 length, as a >= 0 mask does
+    # numpy's reduction starts from 0.0, so a zero sum is +0.0 whatever its terms' signs
+    return 0.0 + _pairwise_rows(length), has_piece
 
 
 def union_covered(
     a: np.ndarray, b: np.ndarray, y: np.ndarray, fallback: np.ndarray
 ) -> np.ndarray:
     """Membership of ``y`` in the :func:`band_pieces` pair ``(a, b)``, as
-    :meth:`IntervalSet.contains`; records with no piece test the fallback."""
-    valid = b >= a
-    inside = (valid & (a <= y) & (y <= b)).any(axis=0)
-    return np.where(valid.any(axis=0), inside, y == fallback)
+    :meth:`IntervalSet.contains`; records with no piece test the fallback.
+    A piece with ``a <= y <= b`` is non-empty, so it needs no test of its own."""
+    inside = ((a <= y) & (y <= b)).any(axis=0)
+    return np.where((b >= a).any(axis=0), inside, y == fallback)
 
 
 def union_components(

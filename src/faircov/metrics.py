@@ -6,7 +6,9 @@ reports carry both views plus exact integer counts, letting any
 discrepancy or downstream confidence band be recomputed from the report
 alone. :func:`evaluate` walks the test set once, with one interval-kernel
 call per block of records; ``faircov evaluate`` writes ``predictions.csv``
-from the same blocks' pieces in that same pass.
+from the same blocks' pieces in that same pass. The kernel writes every
+block's pieces into the same two ``(M, block)`` buffers, allocated once
+per call.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
     return q_lo, q_hi, partition, r_hat, point, fallback, source
 
 
-# Records per block of the test-set walk: its (M, block) piece arrays and,
-# when it writes predictions, the block's text are all it holds at once.
+# Records per block of the test-set walk: its two (M, block) piece buffers
+# and, when it writes predictions, the block's text are all it holds at once.
 _BLOCK = 4096
 
 
@@ -188,9 +190,13 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
     covered = np.empty(test.n, dtype=bool)
     width = np.empty(test.n)
     has_piece = np.empty(test.n, dtype=bool)
+    buffers = np.empty((2, r_hat.shape[0], min(test.n, _BLOCK)))
     for lo in range(0, test.n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        a, b = band_pieces(q_lo[block], q_hi[block], test.group[block], r_hat, bounds)
+        size = min(test.n - lo, _BLOCK)
+        a, b = band_pieces(
+            q_lo[block], q_hi[block], test.group[block], r_hat, bounds, buffers[:, :, :size]
+        )
         covered[block] = union_covered(a, b, test.y[block], fallback[block])
         if writer is not None:
             count, start, end, merged_width = union_components(a, b)
@@ -228,9 +234,12 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
         bin_coverage = np.where(bin_counts > 0, bin_hits / np.maximum(bin_counts, 1), np.nan)
     bin_coverage.setflags(write=False)
     bin_counts.setflags(write=False)
+    # the mean of each group's non-empty bins, as np.nanmean adds a contiguous column
+    filled = np.where(bin_counts > 0, bin_coverage, 0.0)
+    bin_sums = np.ascontiguousarray(filled.T).sum(axis=1)
+    nonempty = (bin_counts > 0).sum(axis=0)
     per_group_bin_mean = tuple(
-        float(np.nanmean(bin_coverage[:, s])) if group_counts[s] > 0 else math.nan
-        for s in range(s_groups)
+        np.where(group_counts > 0, bin_sums / np.maximum(nonempty, 1), np.nan).tolist()
     )
 
     present = picp_groups[~np.isnan(picp_groups)]

@@ -143,10 +143,11 @@ class TestBandPieces:
 class TestBandLayout:
     """The report's widths keep their bits through the pieces' layout.
 
-    ``band_pieces`` returns F-ordered arrays, so ``union_widths``' axis-0
-    sum adds each record's contiguous column on its own, pairwise from
-    eight bins on. A C-ordered pair would be summed row by row and change
-    some widths in the last bit.
+    ``band_pieces`` returns C-ordered arrays, one contiguous row per bin,
+    and ``union_widths`` adds each record's lengths in numpy's pairwise
+    order across the rows: the bits of ``np.add.reduce`` over that
+    record's contiguous column. A plain row-by-row sum would change some
+    widths in the last bit.
     """
 
     @pytest.mark.parametrize("m_bins", [8, 16, 33])
@@ -160,7 +161,7 @@ class TestBandLayout:
         r_hat = rng.uniform(-2.0, 8.0, (m_bins, s_groups))
         a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
         assert a.shape == b.shape == (m_bins, n)
-        assert a.flags.f_contiguous and b.flags.f_contiguous
+        assert a.flags.c_contiguous and b.flags.c_contiguous
         lengths = b - a
         lengths[lengths < 0.0] = 0.0
         width, _ = union_widths(a, b)
@@ -168,6 +169,34 @@ class TestBandLayout:
         assert width.tobytes() == want.tobytes()
         # row-by-row addition differs somewhere, so the layout shows
         assert np.any(np.add.reduce(np.ascontiguousarray(lengths), axis=0) != want)
+
+    def test_pairwise_order_for_every_bin_count(self):
+        # under 8 rows, 8 to 128 and over 128 take numpy's three branches;
+        # the lengths hold zeros, ties, -0.0 and an all-zero record
+        rng = np.random.default_rng(0)
+        lengths = rng.choice([0.0, 0.1, 0.2, 1.0 / 3.0], size=(300, 12))
+        lengths[:, :6] = rng.uniform(0.0, 10.0, (300, 6))
+        lengths[rng.random((300, 12)) < 0.2] = 0.0
+        lengths[:, 11] = 0.0
+        lengths[0, 11] = -0.0
+        lengths[1, 10] = -0.0
+        for m_bins in range(1, 301):
+            b = lengths[:m_bins].copy()
+            width, has_piece = union_widths(np.zeros_like(b), b)
+            want = [np.add.reduce(np.ascontiguousarray(column)) for column in lengths[:m_bins].T]
+            assert width.tobytes() == np.array(want).tobytes(), m_bins
+            assert has_piece.all()
+
+    def test_buffers_take_the_pieces(self):
+        r_hat = np.array([[1.0, -3.0], [-3.0, 1.0]])
+        bounds = np.array([0.0, 5.0, 10.0])
+        args = (np.array([4.0, 4.0]), np.array([6.0, 6.0]), np.array([0, 1]), r_hat, bounds)
+        buffers = np.full((2, 2, 3), np.nan)
+        a, b = band_pieces(*args, buffers[:, :, :2])
+        assert np.shares_memory(a, buffers[0]) and np.shares_memory(b, buffers[1])
+        want_a, want_b = band_pieces(*args)
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+        assert np.isnan(buffers[:, :, 2]).all()
 
 
 class TestIntervalSet:

@@ -7,7 +7,8 @@ with ``repr``. A global shift is a one-bin table over the label domain,
 and a ``cp`` shift is a band collapsed onto the median. ``evaluate``'s
 single kernel pass is held bit for bit to the two-kernel path it
 replaced, and the walk that writes the predictions gives the same report
-at every block size.
+and the same file at every block size, through the piece buffers it
+reuses from block to block.
 """
 
 import csv
@@ -73,11 +74,17 @@ def reference_csv(test, model, calibrator) -> str:
 
 
 def reference_union_widths(q_lo, q_hi, group, r_hat, bounds):
-    """Widths as evaluate computed them with a kernel call of their own."""
+    """Widths as evaluate computed them with a kernel call of their own.
+
+    Each record's lengths are added by ``np.add.reduce`` as one contiguous
+    column, whatever the layout of the pieces.
+    """
     a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
     length = np.subtract(b, a, out=b)
     valid = length >= 0.0
-    return np.where(valid, length, 0.0).sum(axis=0), valid.any(axis=0)
+    columns = np.where(valid, length, 0.0).T
+    width = np.array([np.add.reduce(np.ascontiguousarray(column)) for column in columns])
+    return width, valid.any(axis=0)
 
 
 def reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback):
@@ -91,11 +98,16 @@ def reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback):
 def reference_report(test, model, calibrator) -> str:
     """``report.json`` text from ``evaluate`` run on the two-kernel path.
 
-    ``band_pieces`` is swapped for a stub that hands its inputs on, so
-    each helper runs its own kernel call on them.
+    ``band_pieces`` is swapped for a stub that takes evaluate's buffers
+    and hands its other inputs on, so each helper runs its own kernel call
+    on them.
     """
+
+    def stub(q_lo, q_hi, group, r_hat, bounds, out):
+        return (q_lo, q_hi, group, r_hat, bounds), None
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "band_pieces", lambda *inputs: (inputs, None))
+        patch.setattr(metrics, "band_pieces", stub)
         patch.setattr(
             metrics,
             "union_covered",
@@ -213,6 +225,25 @@ def test_one_kernel_pass_matches_two(name, model):
     assert_one_pass_matches_two(q_lo, q_hi, test.y, test.group, r_hat, bounds, fallback)
     report = report_to_json(evaluate(test, model, calibrator))
     assert report == reference_report(test, model, calibrator)
+
+
+@pytest.mark.parametrize("drop", [0, 2])
+@pytest.mark.parametrize("name, model", CASES)
+def test_artifacts_do_not_depend_on_the_block(tmp_path, name, model, drop):
+    # all 140 adversarial records fill blocks of 7; without the last two,
+    # the last block of 7 is short
+    calibrator = CALIBRATORS[name]
+    test = adversarial_records()
+    test = test.subset(np.arange(test.n - drop))
+    assert (test.n % 7 == 0) == (drop == 0)
+    artifacts = set()
+    for block in (1, 7, 4096):
+        path = tmp_path / f"predictions_{block}.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BLOCK", block)
+            report = write_predictions(path, test, model, calibrator)
+        artifacts.add((report_to_json(report), path.read_bytes()))
+    assert len(artifacts) == 1
 
 
 def test_adversarial_cases_are_reached():
