@@ -7,8 +7,9 @@ generates the subparsers from them, and ``main`` does the shared work
 of every command in one path: it rejects config keys no option declares,
 resolves each declared option (flag, else ``key=value`` config file,
 else default), creates the out-dir, times the handler, and writes
-``manifest.json`` from the resolved options plus the inputs and outputs
-the handler returns. Each ``cmd_*`` handler does only its own work.
+``manifest.json`` from the resolved options plus the files the handler
+opened: every input goes through ``_read`` and every output through
+``_out``, which record them. Each ``cmd_*`` handler does only its own work.
 
 Artifacts are deterministic given identical inputs and seeds;
 ``manifest.json`` additionally records wall-clock timings and is
@@ -131,15 +132,6 @@ class Command(NamedTuple):
     required: tuple[str, ...] = ()
 
 
-class Step(NamedTuple):
-    """What a handler hands back for the manifest; ``hashes`` are input hashes it already took."""
-
-    inputs: list[str]
-    outputs: list[str]
-    timings: dict = {}
-    hashes: dict = {}
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -183,22 +175,42 @@ def _parse_calibrator(text: str):
     return GlobalThreshold.from_json(text)
 
 
-def _load_model(path: str | None) -> QuantileModel | None:
-    return _load_artifact(path, "model", QuantileModel.from_json) if path else None
+def _read(o, path: str) -> str:
+    """Record ``path`` as an input of the command; it is hashed once, for the manifest."""
+    o.inputs.setdefault(path, None)
+    return path
+
+
+def _out(o, name: str) -> str:
+    """Record ``name`` as an output of the command; returns its path in the out-dir."""
+    o.outputs.append(name)
+    return os.path.join(o.out_dir, name)
+
+
+def _load_model(o) -> QuantileModel | None:
+    return _load_artifact(_read(o, o.model), "model", QuantileModel.from_json) if o.model else None
 
 
 def _load_data(o, path: str, group_count: int | None = None):
     schema = {"group": o.attribute_col} if o.attribute_col else None
-    return load_dataset(path, o.label_domain, schema=schema, group_count=group_count)
+    return load_dataset(_read(o, path), o.label_domain, schema=schema, group_count=group_count)
 
 
 def _write_text(o, name: str, text: str) -> None:
-    with open(os.path.join(o.out_dir, name), "w") as fh:
+    with open(_out(o, name), "w") as fh:
         fh.write(text)
         fh.write("\n")
 
 
-def cmd_simulate(o) -> Step:
+def _fit(o, train) -> QuantileModel:
+    model = fit_model(
+        train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
+    )
+    _write_text(o, "model.json", model.to_json())
+    return model
+
+
+def cmd_simulate(o) -> None:
     split = SplitSpec(fractions=o.fractions, seed=o.seed)
     spec = SyntheticSpec(
         n=o.n,
@@ -209,19 +221,12 @@ def cmd_simulate(o) -> Step:
         seed=o.seed,
     )
     parts = split_dataset(generate_synthetic(spec), split)
-    outputs = ["train.csv", "cal.csv", "test.csv"]
-    for name, part in zip(outputs, parts):
-        write_dataset(part, os.path.join(o.out_dir, name))
-    return Step([], outputs)
+    for name, part in zip(("train.csv", "cal.csv", "test.csv"), parts):
+        write_dataset(part, _out(o, name))
 
 
-def cmd_fit(o) -> Step:
-    train = _load_data(o, o.data)
-    model = fit_model(
-        train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
-    )
-    _write_text(o, "model.json", model.to_json())
-    return Step([o.data], ["model.json"])
+def cmd_fit(o) -> None:
+    _fit(o, _load_data(o, o.data))
 
 
 def _run_calibration(method, cal, model, alpha, bins, max_iters=None):
@@ -256,10 +261,9 @@ def _missed_floors(cal, model, table: ThresholdTable) -> list[str]:
     return missed
 
 
-def cmd_calibrate(o) -> Step:
+def cmd_calibrate(o) -> None:
     cal = _load_data(o, o.data)
-    model = _load_model(o.model)
-    inputs = [path for path in (o.data, o.model) if path]
+    model = _load_model(o)
     calibrator, trace = _run_calibration(o.method, cal, model, o.alpha, o.bins, o.max_iters)
     if trace is not None:
         # a fuq table below its floors is an error, not an artifact
@@ -269,25 +273,24 @@ def cmd_calibrate(o) -> Step:
                 f"the fuq table misses its coverage floors (optimizer stopped by "
                 f"{trace.termination_reason}): " + "; ".join(missed)
             )
-    input_hashes = {path: _sha256(path) for path in inputs}
+    o.inputs = {path: _sha256(path) for path in o.inputs}
     if isinstance(calibrator, ThresholdTable):
-        extras = {"method": o.method, "seed": o.seed, "input_hashes": input_hashes}
+        extras = {"method": o.method, "seed": o.seed, "input_hashes": o.inputs}
         if trace is not None:
             extras["trace_summary"] = trace.summary()
         text = json.dumps(calibrator.to_payload(extras), sort_keys=True, indent=2)
     else:
         text = calibrator.to_json()
     _write_text(o, "calibrator.json", text)
-    return Step(inputs, ["calibrator.json"], hashes=input_hashes)
 
 
-def cmd_evaluate(o) -> Step:
-    calibrator = _load_artifact(o.calibrator, "calibrator", _parse_calibrator)
+def cmd_evaluate(o) -> None:
+    calibrator = _load_artifact(_read(o, o.calibrator), "calibrator", _parse_calibrator)
     # a table fixes the group count: every one of its groups must appear
     group_count = calibrator.group_count if isinstance(calibrator, ThresholdTable) else None
     test = _load_data(o, o.data, group_count)
-    model = _load_model(o.model)
-    predictions = os.path.join(o.out_dir, "predictions.csv")
+    model = _load_model(o)
+    predictions = _out(o, "predictions.csv")
     try:
         with open(predictions, "w", newline="") as fh:
             report = evaluate(test, model, calibrator, csv.writer(fh))
@@ -295,8 +298,6 @@ def cmd_evaluate(o) -> Step:
         os.remove(predictions)  # a rejected evaluation leaves no predictions file
         raise
     _write_text(o, "report.json", report_to_json(report))
-    inputs = [path for path in (o.data, o.calibrator, o.model) if path]
-    return Step(inputs, ["report.json", "predictions.csv"])
 
 
 def _aligned_table(rows: list[list[str]]) -> str:
@@ -308,46 +309,34 @@ def _aligned_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_compare(o) -> Step:
+def cmd_compare(o) -> None:
     cal = _load_data(o, o.cal)
     # every calibrated group must appear in the test file, as in evaluate
     test = _load_data(o, o.test, cal.group_count)
-    inputs = [o.cal, o.test]
-    outputs = ["comparison.csv", "comparison.txt"]
     if o.model:
-        model = _load_model(o.model)
-        inputs.append(o.model)
+        model = _load_model(o)
     elif not o.train:
         raise ValidationError("compare needs either --model or --train")
     else:
-        train = _load_data(o, o.train)
-        inputs.append(o.train)
-        model = fit_model(
-            train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
-        )
-        _write_text(o, "model.json", model.to_json())
-        outputs.append("model.json")
+        model = _fit(o, _load_data(o, o.train))
 
     rows = [comparison_header(test.group_count)]
     for method in o.methods:
         calibrator, _ = _run_calibration(method, cal, model, o.alpha, o.bins)
         report = evaluate(test, model, calibrator)
         rows.append(comparison_row(method, report))
-        report_name = f"report_{method}.json"
-        _write_text(o, report_name, report_to_json(report))
-        outputs.append(report_name)
-    with open(os.path.join(o.out_dir, "comparison.csv"), "w", newline="") as fh:
+        _write_text(o, f"report_{method}.json", report_to_json(report))
+    with open(_out(o, "comparison.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    with open(os.path.join(o.out_dir, "comparison.txt"), "w") as fh:
+    with open(_out(o, "comparison.txt"), "w") as fh:
         fh.write(_aligned_table(rows))
-    return Step(inputs, outputs)
 
 
-def cmd_sweep_m(o) -> Step:
+def cmd_sweep_m(o) -> None:
     if any(m < 1 for m in o.m_values):
         raise ValidationError(f"bin counts must be positive, got {o.m_values}")
     cal = _load_data(o, o.data)
-    model = _load_model(o.model)
+    model = _load_model(o)
     if cal.n < 2:
         raise ValidationError("sweep needs at least two calibration records to split")
     perm = np.random.default_rng(o.seed).permutation(cal.n)
@@ -356,7 +345,7 @@ def cmd_sweep_m(o) -> Step:
     val_part = cal.subset(perm[half:])
 
     rows = [["M", "picp", "mpiw", "picp_gap", "iterations", "termination"]]
-    per_m_seconds: dict[str, float] = {}
+    per_m_seconds = o.timings["per_m_seconds"] = {}
     for m in o.m_values:
         tick = time.perf_counter()
         table, trace = fair_calibrate(fit_part, model, m, o.alpha)
@@ -372,9 +361,8 @@ def cmd_sweep_m(o) -> Step:
                 trace.termination_reason,
             ]
         )
-    with open(os.path.join(o.out_dir, "sweep.csv"), "w", newline="") as fh:
+    with open(_out(o, "sweep.csv"), "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    return Step([o.data, o.model], ["sweep.csv"], {"per_m_seconds": per_m_seconds})
 
 
 OPTIONS: dict[str, Option] = {
@@ -501,20 +489,19 @@ def _run(args, config) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot use --out-dir {out_dir!r}: {exc}") from None
-    step = command.handler(argparse.Namespace(**resolved))
+    o = argparse.Namespace(**resolved, inputs={}, outputs=[], timings={})
+    command.handler(o)
     manifest = {
         "command": args.command,
         "config": resolved,
-        "inputs": {path: step.hashes.get(path) or _sha256(path) for path in sorted(step.inputs)},
-        "outputs": {
-            name: _sha256(os.path.join(out_dir, name)) for name in sorted(step.outputs)
-        },
+        "inputs": {path: o.inputs[path] or _sha256(path) for path in sorted(o.inputs)},
+        "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in sorted(o.outputs)},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "package": __version__,
         },
-        "timings": {"total_seconds": time.perf_counter() - started, **step.timings},
+        "timings": {"total_seconds": time.perf_counter() - started, **o.timings},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

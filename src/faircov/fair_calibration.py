@@ -35,10 +35,10 @@ of a single column, (M, 1), adds partial sums instead, and the builtin
 ``sum`` compensates from Python 3.12 on. The means decide tie breaks and
 go into the trace, so their last bit is part of the output.
 
-The :class:`OptimizerTrace` holds the moves as columns: a run writes its
-moves' rows from the arrays it already holds, a single move appends one
-row, and the columns are assembled once, at the end. Its
-:class:`IterationRecord` view is built only when read.
+The :class:`OptimizerTrace` holds the moves as columns. Every move is
+written as a block of float64 trace rows, a run's from the arrays it
+already holds and a single move's of one row, and the blocks are joined
+once, at the end. Its :class:`IterationRecord` view is built only when read.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
 set (scores, bins, sorted cell scores, counts). A calibration makes three
@@ -537,12 +537,13 @@ def eoc_optimize(
     donor means only fall and recipient means only rise, so the donor
     picks are the donors' before-move means sorted descending and the
     recipient picks the recipients' sorted ascending, ties to the lower
-    group, then the earlier move; the run's rows of the trace are
+    group, then the earlier move; the run's block of trace rows is
     written from those arrays. The run then adds its moves to ``k`` and
-    drops its streams. No run starts while the top donor has no positive
-    decrease slope. Single moves take the steps a run cannot: lone drops
-    and adds, an exhausted or tie-locked donor, and the cleanup; a run
-    also ends after an add that carries its group past its window, as
+    drops its streams. A run starts whenever the top donor has a positive
+    decrease slope, and then takes at least one exchange. Single moves,
+    each written as a one-row block, take the steps a run cannot: lone
+    drops and adds, an exhausted or tie-locked donor, and the cleanup; a
+    run also ends after an add that carries its group past its window, as
     the group may donate next.
 
     A group mean adds its bins' rates in bin order, in a single move and
@@ -620,16 +621,15 @@ def eoc_optimize(
         k[m, s] = _covered_count(flat[start : start + counts[m, s]], new)
         return True
 
-    def run(over: list[int], under: list[int]) -> int:
-        # Takes the paired exchanges ahead as one run and returns how
-        # many. Donors only fall and recipients only rise, so the picks
-        # are the donors' before-move means sorted descending and the
-        # recipients' sorted ascending, ties to the lower group, then the
-        # earlier move. A run stops before a donor with no move left and
-        # after an add that carries its group past its window; a
-        # recipient fills up only at mean 1, above its window. The run's
-        # streams are built from the counts it starts on and dropped at
-        # its end.
+    def run(over: list[int], under: list[int]) -> None:
+        # Takes the paired exchanges ahead as one run. Donors only fall
+        # and recipients only rise, so the picks are the donors'
+        # before-move means sorted descending and the recipients' sorted
+        # ascending, ties to the lower group, then the earlier move. A
+        # run stops before a donor with no move left and after an add
+        # that carries its group past its window; a recipient fills up
+        # only at mean 1, above its window. The run's streams are built
+        # from the counts it starts on and dropped at its end.
         nonlocal mu, steps
         budget = max_iters - steps
         streams, ends, sides = {}, np.zeros(s_groups, dtype=np.int64), []
@@ -653,6 +653,7 @@ def eoc_optimize(
         stall = np.flatnonzero(t1[:n] == ends[g1[:n]])
         if stall.size:
             n = int(stall[0])
+        assert n, "the top donor's drop stream is non-empty, so it moves first"
         g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
         block = np.empty((n, 6 + s_groups))  # the run's rows of the trace
         block[:, 0], block[:, 1] = g1, g2
@@ -679,27 +680,19 @@ def eoc_optimize(
                 after[:, s] = st.mu[moved]
                 np.add.at(k[:, s], st.bins[:b], st.deltas[:b])
         mu = means()
-        flush()
         blocks.append(block)
         steps += n
-        return n
 
     steps = 0
     blocks = [np.empty((0, 6 + s_groups))]  # the trace so far, as (moves, 6 + S) blocks
-    rows: list[tuple] = []  # single moves since the last block, one row each
     mu = means()
-
-    def flush() -> None:
-        if rows:
-            blocks.append(np.array(rows, dtype=np.float64))
-            rows.clear()
 
     def record(s1, s2, m1, m2, d_slope, i_slope) -> None:
         # the group means after the move, which the next move starts from
         nonlocal mu, steps
         mu = means()
         b1, b2 = m1 + 1 if s1 >= 0 else 0, m2 + 1 if s2 >= 0 else 0
-        rows.append((s1, s2, b1, b2, d_slope, i_slope, *mu))
+        blocks.append(np.array([(s1, s2, b1, b2, d_slope, i_slope, *mu)], dtype=np.float64))
         steps += 1
 
     # max and min keep the first of equal candidates, so ties go to the
@@ -727,8 +720,8 @@ def eoc_optimize(
             dec = drops(s1)
             m1 = int(dec.argmax())
             d_slope = dec[m1]
-            # a donor with a positive decrease slope has a drop stream
-            if s2 >= 0 and d_slope > 0.0 and run(over, under):
+            if s2 >= 0 and d_slope > 0.0:
+                run(over, under)  # the donor has a drop stream, so a run moves
                 continue
             if d_slope == -math.inf:
                 reason = SLOPE_CROSSOVER  # donor has nothing left to give
@@ -819,7 +812,6 @@ def eoc_optimize(
         partition=table0.partition,
         group_count=s_groups,
     )
-    flush()
     return table, _trace(init_means, np.concatenate(blocks), reason)
 
 

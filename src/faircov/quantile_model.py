@@ -150,11 +150,10 @@ class QuantileModel:
 
     def band(self, features: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (q_lo, median, q_hi) columns for miscoverage level alpha."""
-        self.levels.require_alpha(alpha)
-        preds = self.predict_many(features)
         i_lo = self.levels.index_of(alpha / 2.0)
         i_md = self.levels.index_of(0.5)
         i_hi = self.levels.index_of(1.0 - alpha / 2.0)
+        preds = self.predict_many(features)
         return preds[:, i_lo], preds[:, i_md], preds[:, i_hi]
 
     def to_json(self) -> str:
@@ -221,10 +220,10 @@ def fit(
     x = train.features
     n, d = x.shape
     qs = np.asarray(levels.levels, dtype=np.float64)
-    mu = x.mean(axis=0) if d else np.zeros(0)
-    sd = x.std(axis=0) if d else np.zeros(0)
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
-    xs = (x - mu) / sd if d else x
+    xs = (x - mu) / sd
 
     k = len(levels)
     w = np.zeros((k, d))
@@ -276,8 +275,8 @@ def fit(
                 break
         trace.append(loss)
 
-    w_raw = w / sd if d else w
-    b_raw = b - (w_raw @ mu if d else 0.0)
+    w_raw = w / sd
+    b_raw = b - w_raw @ mu
     return QuantileModel(
         weights=w_raw,
         bias=b_raw,

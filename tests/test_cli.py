@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from faircov import GlobalThreshold, ThresholdTable, equal_mass_bins, intervals, metrics, write_dataset
+from faircov import GlobalThreshold, ThresholdTable, cli, core, equal_mass_bins, intervals, metrics, write_dataset
 from faircov.cli import _missed_floors, build_parser, main
 
 from conftest import make_dataset
@@ -183,10 +183,101 @@ class TestOneKernelPass:
                 assert a.read() == b.read()
 
 
-class TestInputHashing:
-    def test_calibrate_hashes_each_input_once(self, pipeline, tmp_path, monkeypatch):
-        from faircov import cli
+# Command lines on the pipeline fixture's files ("{p}"), each with the
+# names of the files it reads from there and writes to its out-dir.
+REPORTS = ["report_cp.json", "report_cqr.json", "report_cqr_groupwise.json", "report_fuq.json"]
+COMPARE = ["compare", "--cal", "{p}/cal.csv", "--test", "{p}/test.csv", "--bins", "2"]
+TOUCHED = {
+    "simulate": (
+        ["simulate", "--n", "80", "--feature-dim", "2"],
+        [],
+        ["train.csv", "cal.csv", "test.csv"],
+    ),
+    "fit": (["fit", "--data", "{p}/train.csv", "--epochs", "5"], ["train.csv"], ["model.json"]),
+    "calibrate": (
+        ["calibrate", "--data", "{p}/cal.csv", "--model", "{p}/model.json", "--bins", "2"],
+        ["cal.csv", "model.json"],
+        ["calibrator.json"],
+    ),
+    "evaluate": (
+        ["evaluate", "--data", "{p}/test.csv", "--model", "{p}/model.json",
+         "--calibrator", "{p}/calibrator.json"],
+        ["test.csv", "model.json", "calibrator.json"],
+        ["predictions.csv", "report.json"],
+    ),
+    "compare": (
+        [*COMPARE, "--model", "{p}/model.json"],
+        ["cal.csv", "test.csv", "model.json"],
+        ["comparison.csv", "comparison.txt", *REPORTS],
+    ),
+    "sweep-m": (
+        ["sweep-m", "--data", "{p}/cal.csv", "--model", "{p}/model.json", "--m-values", "1,2"],
+        ["cal.csv", "model.json"],
+        ["sweep.csv"],
+    ),
+    "compare-train": (
+        [*COMPARE, "--train", "{p}/train.csv", "--epochs", "5"],
+        ["cal.csv", "test.csv", "train.csv"],
+        ["comparison.csv", "comparison.txt", "model.json", *REPORTS],
+    ),
+    # a given model wins: the training file is neither read nor listed
+    "compare-model-train": (
+        [*COMPARE, "--model", "{p}/model.json", "--train", "{p}/train.csv"],
+        ["cal.csv", "test.csv", "model.json"],
+        ["comparison.csv", "comparison.txt", *REPORTS],
+    ),
+}
 
+
+def run_touching(case, pipeline, out):
+    """Run a TOUCHED command line into ``out``; returns its manifest and the paths it names."""
+    argv, reads, writes = TOUCHED[case]
+    assert main([*(arg.format(p=pipeline) for arg in argv), "--out-dir", str(out)]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return (
+        manifest,
+        sorted(os.path.join(pipeline, name) for name in reads),
+        sorted(os.path.join(out, name) for name in writes),
+    )
+
+
+class TestManifestFiles:
+    @pytest.mark.parametrize("case", list(TOUCHED))
+    def test_manifest_lists_what_the_command_touched(self, pipeline, tmp_path, monkeypatch, case):
+        # every file cli and core open, by mode; "rb" is the manifest's hashing
+        opened = collections.defaultdict(set)
+
+        def spy(path, mode="r", **kwargs):
+            opened[mode].add(str(path))
+            return open(path, mode, **kwargs)
+
+        for module in (cli, core):
+            monkeypatch.setattr(module, "open", spy, raising=False)
+        out = str(tmp_path / "out")
+        manifest, reads, writes = run_touching(case, pipeline, out)
+        assert sorted(manifest["inputs"]) == reads
+        assert sorted(os.path.join(out, name) for name in manifest["outputs"]) == writes
+        assert sorted(opened["r"]) == reads
+        assert sorted(opened["w"] - {os.path.join(out, "manifest.json")}) == writes
+
+
+class TestInputHashing:
+    @pytest.mark.parametrize("case", ["evaluate", "compare", "compare-train"])
+    def test_each_file_is_hashed_once(self, pipeline, tmp_path, monkeypatch, case):
+        hashed = collections.Counter()
+        original = cli._sha256
+
+        def counting(path):
+            hashed[path] += 1
+            return original(path)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        _, reads, writes = run_touching(case, pipeline, str(tmp_path / "out"))
+        assert sorted(hashed) == sorted(reads + writes)
+        assert set(hashed.values()) == {1}
+
+    def test_calibrate_hashes_each_input_once(self, pipeline, tmp_path, monkeypatch):
         hashed = []
         original = cli._sha256
 
