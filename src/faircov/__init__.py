@@ -19,7 +19,6 @@ from .conformal import (
 )
 from .core import (
     Dataset,
-    DivergenceError,
     EmptyCellError,
     SplitSpec,
     ValidationError,
@@ -59,7 +58,6 @@ __all__ = [
     "BinPartition",
     "CoverageState",
     "Dataset",
-    "DivergenceError",
     "EmptyCellError",
     "EvalReport",
     "GlobalThreshold",

@@ -16,9 +16,12 @@ Artifacts are deterministic given identical inputs and seeds;
 therefore the one file excluded from bit-identical reruns. Each command
 overwrites it.
 
-Exit codes: 0 success, 1 input or validation error, 2 numerical failure
-(argument-syntax errors exit 2 via argparse). With ``--json-errors`` the
-error is emitted as a JSON object on stderr.
+``fit`` (and ``compare --train``) fits the quantile model exactly; its
+``--epochs`` caps the interior-point iterations per quantile level.
+
+Exit codes: 0 success, 1 input or validation error, 2 argument-syntax
+error (from argparse). With ``--json-errors`` a validation error is
+emitted as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -203,9 +206,7 @@ def _write_text(o, name: str, text: str) -> None:
 
 
 def _fit(o, train) -> QuantileModel:
-    model = fit_model(
-        train, QuantileLevels.for_alpha(o.alpha), lr=o.lr, epochs=o.epochs, seed=o.seed
-    )
+    model = fit_model(train, QuantileLevels.for_alpha(o.alpha), epochs=o.epochs, seed=o.seed)
     _write_text(o, "model.json", model.to_json())
     return model
 
@@ -385,8 +386,7 @@ OPTIONS: dict[str, Option] = {
     "alpha": Option(float, 0.1, "miscoverage level"),
     "bins": Option(int, 4, "label bin count for fuq"),
     "max_iters": Option(int, None, "optimizer iteration cap"),
-    "lr": Option(float, 0.1, "fit step size"),
-    "epochs": Option(int, 400, "fit epoch count"),
+    "epochs": Option(int, 400, "fit iteration cap per quantile level"),
     "attribute_col": Option(str, None, "group column name"),
     "m_values": Option(_ints, (1, 2, 4, 8), "comma list of bin counts"),
 }
@@ -403,7 +403,7 @@ COMMANDS: dict[str, Command] = {
     "fit": Command(
         cmd_fit,
         "fit the quantile model",
-        ("data", "alpha", "lr", "epochs", "label_domain", "attribute_col"),
+        ("data", "alpha", "epochs", "label_domain", "attribute_col"),
         required=("data",),
     ),
     "calibrate": Command(
@@ -421,7 +421,7 @@ COMMANDS: dict[str, Command] = {
     "compare": Command(
         cmd_compare,
         "run all methods and tabulate",
-        ("train", "cal", "test", "model", "methods", "alpha", "bins", "lr", "epochs",
+        ("train", "cal", "test", "model", "methods", "alpha", "bins", "epochs",
          "label_domain", "attribute_col"),
         required=("cal", "test"),
     ),
@@ -457,19 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                 text += f" (default {_show(option.default)})"
             p.add_argument(_flag(key), help=text)
     return parser
-
-
-def _fail(exc: Exception, code: int, json_errors: bool) -> int:
-    if json_errors:
-        payload = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": code,
-        }
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-    return code
 
 
 def _run(args, config) -> None:
@@ -521,9 +508,12 @@ def main(argv=None) -> int:
         _run(args, config)
         return 0
     except ValidationError as exc:
-        return _fail(exc, 1, json_errors)
-    except ArithmeticError as exc:
-        return _fail(exc, 2, json_errors)
+        if json_errors:
+            payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": 1}
+            print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "EmptyCellError",
-    "DivergenceError",
     "SplitSpec",
     "Dataset",
     "load_dataset",
@@ -42,14 +41,6 @@ class EmptyCellError(ValidationError):
             f"calibration cell (bin {bin_number}, group {group}) is empty; "
             "reduce the bin count or supply more calibration data"
         )
-
-
-class DivergenceError(ArithmeticError):
-    """Raised when an iterative fit produces a non-finite loss."""
-
-    def __init__(self, epoch: int, message: str | None = None):
-        self.epoch = epoch
-        super().__init__(message or f"training loss became non-finite at epoch {epoch}")
 
 
 @dataclass(frozen=True)

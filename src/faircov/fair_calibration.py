@@ -41,7 +41,7 @@ already holds and a single move's of one row, and the blocks are joined
 once, at the end. Its :class:`IterationRecord` view is built only when read.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
-set (scores, bins, sorted cell scores, counts). A calibration makes three
+set (scores, sorted cell scores, counts). A calibration makes three
 such passes: :func:`init_thresholds` seeds the global shift with
 ``cqr_calibrate`` and measures the seed :class:`CoverageState`, and
 :func:`eoc_optimize` scores the set again when there are groups to
@@ -144,7 +144,6 @@ class CellScores:
     """
 
     scores: np.ndarray  # (n,)
-    bins: np.ndarray  # (n,) 0-based bin indices
     cells: list[list[np.ndarray]]
     counts: np.ndarray  # (M, S) ints
     partition: BinPartition
@@ -154,9 +153,8 @@ class CellScores:
         cls, cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
     ) -> "CellScores":
         scores = conformity_scores(cal, model, alpha)
-        bins0 = bin_indices(partition, cal.y)
         m_bins, s_groups = partition.m, cal.group_count
-        key = bins0 * s_groups + cal.group
+        key = bin_indices(partition, cal.y) * s_groups + cal.group
         counts = np.bincount(key, minlength=m_bins * s_groups).reshape(m_bins, s_groups)
         empty = np.argwhere(counts == 0)
         if empty.size:
@@ -166,7 +164,7 @@ class CellScores:
         order = np.argsort(key.astype(np.min_scalar_type(m_bins * s_groups - 1)), kind="stable")
         split = np.split(scores[order], np.cumsum(counts.ravel())[:-1])
         cells = [[np.sort(split[m * s_groups + s]) for s in range(s_groups)] for m in range(m_bins)]
-        return cls(scores=scores, bins=bins0, cells=cells, counts=counts, partition=partition)
+        return cls(scores=scores, cells=cells, counts=counts, partition=partition)
 
     def covered(self, r_hat: np.ndarray) -> np.ndarray:
         """How many of each cell's scores are at or below its threshold, (M, S)."""
@@ -571,7 +569,7 @@ def eoc_optimize(
     counts = cell_scores.counts
     k = cell_scores.covered(table0.r_hat)
     flat, first = _lay_out(cell_scores, table0.r_hat)
-    del cell_scores  # its (n,) scores and bins would outlive their use by the whole run
+    del cell_scores  # its (n,) scores would outlive their use by the whole run
     # width change per record of moving a threshold from flat[p] to flat[p + 1]
     spacing = np.diff(flat) / np.repeat(counts.ravel(), counts.ravel() + 1)
     groups = range(s_groups)

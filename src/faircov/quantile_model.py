@@ -1,15 +1,11 @@
-"""Multi-quantile linear regression trained with the pinball loss.
+"""Multi-quantile linear regression fitted exactly under the pinball loss.
 
 The model predicts one value per requested quantile level from a shared
-feature vector. Training is deterministic full-batch subgradient descent
-with step-halving backtracking: a step that would raise the epoch loss
-by more than ``_LOSS_TOL`` (1e-12) is reverted and the step size halved,
-so the recorded loss rises by at most that much per epoch. The epoch
-loop allocates its ``(n, levels)`` buffers once and runs no ``where``;
-every float it produces is bit-identical to the plain formulation (fresh
-arrays each epoch, branches by ``np.where``), which the tests keep as a
-reference. Quantile crossing is repaired at prediction time by sorting
-the per-level outputs (monotone rearrangement).
+feature vector. Each level is a linear program (Koenker & Bassett 1978)
+that the Frisch–Newton interior point solves from the least-squares fit.
+Its ``p x p`` systems are solved by least squares, so constant, collinear
+and wide designs take the same path. Quantile crossing is repaired at
+prediction time by sorting the per-level outputs (monotone rearrangement).
 
 Also hosts the synthetic data generator used by the command line tools
 and the test harness: a linear signal plus group-dependent noise, clipped
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DivergenceError, ValidationError
+from .core import Dataset, ValidationError
 
 __all__ = [
     "QuantileLevels",
@@ -37,8 +33,9 @@ __all__ = [
     "signal_coefficients",
 ]
 
-_LOSS_TOL = 1e-12
-_MIN_LR = 1e-14
+# A level's fit stops once its duality gap, which bounds how far its summed
+# pinball loss lies above the minimum, is at most this times 1 + sum(|y|).
+_GAP_TOL = 1e-12
 
 
 def pinball_loss(y, y_hat, q: float):
@@ -191,99 +188,120 @@ def predict(model: QuantileModel, features: np.ndarray) -> np.ndarray:
     return model.predict_many(x[None, :])[0]
 
 
-def fit(
-    train: Dataset,
-    levels: QuantileLevels,
-    lr: float = 0.1,
-    epochs: int = 400,
-    seed: int = 0,
-) -> QuantileModel:
-    """Fit the linear quantile model by full-batch subgradient descent.
+def fit(train: Dataset, levels: QuantileLevels, epochs: int = 400, seed: int = 0) -> QuantileModel:
+    """Fit each level exactly: its coefficients minimize the mean pinball loss.
 
-    Biases start at the empirical label quantiles and weights at zero.
-    Features are standardized internally for conditioning; the returned
-    coefficients are in raw feature space. A step that would raise the
-    epoch loss by more than ``_LOSS_TOL`` (1e-12) is reverted and the step
-    size halved, so ``loss_trace`` rises by at most that much per epoch.
-    ``seed`` is recorded in the artifact for provenance; the procedure
-    itself is deterministic.
+    :func:`_frisch_newton` solves each level on standardized features plus
+    an intercept; ``epochs`` caps its iterations, and a capped level keeps
+    its current iterate. ``loss_trace`` holds the mean pinball loss over
+    records and levels at the least-squares start, then at the result.
+    ``seed`` is recorded for provenance; the fit is deterministic.
     """
-    if lr <= 0:
-        raise ValidationError(f"learning rate must be positive, got {lr}")
     if epochs < 1:
-        raise ValidationError(f"epoch count must be at least 1, got {epochs}")
+        raise ValidationError(f"iteration cap must be at least 1, got {epochs}")
     if train.features is None:
         raise ValidationError("training dataset must carry feature columns")
     if train.n == 0:
         raise ValidationError("training dataset is empty")
-    y = train.y
-    x = train.features
-    n, d = x.shape
-    qs = np.asarray(levels.levels, dtype=np.float64)
+    y, x, qs = train.y, train.features, levels.levels
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
-    xs = (x - mu) / sd
+    design = np.empty((x.shape[1] + 1, train.n))  # one row per coefficient
+    design[0] = 1.0
+    design[1:] = ((x - mu) / sd).T
+    start = np.linalg.lstsq(design @ design.T, design @ y, rcond=None)[0]
+    coef = np.array([_frisch_newton(design, y, q, start, epochs)[0] for q in qs])
 
-    k = len(levels)
-    w = np.zeros((k, d))
-    b = np.quantile(y, qs)
-    # The (n, k) buffers of every epoch, allocated once. ``resid`` holds the
-    # residuals, then the per-record losses, then the gradient's running
-    # column sums; ``coef`` holds the loss coefficient of each residual.
-    tiled_qs = np.tile(qs, (n, 1))
-    resid = np.empty((n, k))
-    below = np.empty((n, k), dtype=bool)
-    coef = np.empty((n, k))
+    def mean_pinball(rows) -> float:
+        return float(np.mean([pinball_loss(y, c @ design, q).mean() for c, q in zip(rows, qs)]))
 
-    def mean_pinball(w: np.ndarray, b: np.ndarray) -> float:
-        np.matmul(xs, w.T, out=resid)
-        for j in range(k):  # column by column: a broadcast would loop over the k levels
-            col = resid[:, j]
-            col += b[j]
-            np.subtract(y, col, out=col)
-        # q where the residual is >= 0 and q - 1 below: the factor the
-        # pinball loss applies, so each loss is that one product, bit for bit
-        np.less(resid, 0.0, out=below)
-        np.subtract(tiled_qs, below, out=coef)
-        return float(np.multiply(coef, resid, out=resid).mean())
-
-    def subgradient() -> tuple[np.ndarray, np.ndarray]:
-        """(gw, gb) at the point ``mean_pinball`` last saw; overwrites its buffers."""
-        g = np.negative(coef, out=coef)  # -q where y >= preds, 1 - q elsewhere
-        # a sequential column sum adds in the order ``g.mean(axis=0)`` does
-        sums = np.cumsum(g, axis=0, out=resid)[-1]
-        return (g.T @ xs) / n, sums / n
-
-    step = float(lr)
-    loss = mean_pinball(w, b)
-    gw, gb = subgradient()
-    trace = [loss]
-    for epoch in range(1, epochs + 1):
-        w_new = w - step * gw
-        b_new = b - step * gb
-        loss_new = mean_pinball(w_new, b_new)
-        if not np.isfinite(loss_new):
-            raise DivergenceError(epoch)
-        if loss_new <= loss + _LOSS_TOL:
-            w, b, loss = w_new, b_new, loss_new
-            gw, gb = subgradient()
-        else:  # the state stays, and so does its subgradient
-            step *= 0.5
-            if step < _MIN_LR:
-                trace.append(loss)
-                break
-        trace.append(loss)
-
-    w_raw = w / sd
-    b_raw = b - w_raw @ mu
+    weights = coef[:, 1:] / sd
     return QuantileModel(
-        weights=w_raw,
-        bias=b_raw,
+        weights=weights,
+        bias=coef[:, 0] - weights @ mu,
         levels=levels,
         seed=seed,
-        loss_trace=tuple(trace),
+        loss_trace=(mean_pinball([start] * len(qs)), mean_pinball(coef)),
     )
+
+
+def _frisch_newton(
+    design: np.ndarray, y: np.ndarray, q: float, start: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-``q`` quantile regression by the Frisch–Newton interior point.
+
+    Mehrotra's predictor-corrector (Portnoy & Koenker 1997) on the dual
+    ``max y'a  s.t.  X'a = (1 - q) X'1,  0 <= a <= 1``, whose equality
+    multipliers are minus the coefficients ``b``; ``design`` is ``X'``.
+    From ``a = 1 - q`` and ``b = start``, the slacks ``z`` of ``a >= 0``
+    and ``w`` of ``a <= 1`` start at the residuals' negative and positive
+    parts plus 1e-3 and keep ``w - z = y - X b``. It stops once the gap
+    ``a'z + (1 - a)'w`` is at most ``_GAP_TOL * (1 + sum(|y|))``, or after
+    ``cap`` iterations, and returns ``b`` and ``a``. All ``n``-vectors
+    live in one ``(8, n)`` buffer.
+    """
+    p, n = design.shape
+    tol = _GAP_TOL * (1.0 + float(np.abs(y).sum()))
+    b = np.array(start, dtype=np.float64)
+    buf = np.empty((8, n))
+    P, D, dD, (da, qw) = buf[0:2], buf[2:4], buf[4:6], buf[6:8]
+    (a, s), (z, w), (dz, dw) = P, D, dD
+    a.fill(1.0 - q)
+    s.fill(q)
+    np.subtract(y, np.matmul(b, design, out=z), out=z)  # residuals
+    np.maximum(z, 0.0, out=w)
+    np.subtract(w, z, out=z)
+    D += 1e-3
+    gram = np.empty((p, p))
+    for _ in range(cap):
+        gap = float(np.vdot(D, P))
+        if gap <= tol:
+            break
+        np.copyto(dD, D)  # the predictor's target: zero complementarity
+        for corrector in (False, True):
+            if corrector:
+                if fp == fd == 1.0:  # the predictor's full step is feasible
+                    break
+                # Mehrotra's centring target plus the predictor's second-order term
+                g = gap + fp * (da @ z - da @ w) + fd * np.vdot(dD, P) + fp * fd * (da @ dz - da @ dw)
+                mu = gap * (g / gap) ** 3 / (2 * n)
+                dD *= da
+                dw *= -1.0
+                dD -= mu
+                dD /= P
+                dD += D
+            # Newton's weights qw = 1 / (z / a + w / s) and X' Q X
+            np.divide(z, a, out=qw)
+            qw += np.divide(w, s, out=da)
+            np.reciprocal(qw, out=qw)
+            for j in range(p):
+                gram[j] = design @ np.multiply(design[j], qw, out=da)
+            # da = qw (u - X db) for the target residuals u = dw - dz
+            np.subtract(dw, dz, out=da)
+            db = np.linalg.lstsq(gram, design @ np.multiply(da, qw, out=da), rcond=None)[0]
+            np.matmul(db, design, out=da)
+            np.subtract(dw, da, out=da)
+            da -= dz
+            da *= qw
+            # dz and dw: minus the target, minus z da / a and plus w da / s
+            dz += np.multiply(np.divide(da, a, out=qw), z, out=qw)
+            dw -= np.multiply(np.divide(da, s, out=qw), w, out=qw)
+            np.negative(dD, out=dD)
+            fp = _fraction(max(-np.divide(da, a, out=qw).min(), np.divide(da, s, out=qw).max()))
+            fd = _fraction(-min(np.divide(dz, z, out=qw).min(), np.divide(dw, w, out=qw).min()))
+        np.multiply(da, fp, out=qw)
+        a += qw
+        s -= qw
+        dD *= fd
+        D += dD
+        b += fd * db
+    return b, a
+
+
+def _fraction(worst: float) -> float:
+    """The step along a direction whose first bound is at ``1 / worst``: 0.99995 of it, at most 1."""
+    return 1.0 if worst <= 0.0 else min(1.0, 0.99995 / worst)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ class TestPipeline:
             payload = json.load(fh)
         assert payload["feature_dim"] == 2
         assert payload["levels"] == [0.05, 0.5, 0.95]
-        assert len(payload["loss_trace"]) >= 2
+        assert len(payload["loss_trace"]) == 2  # least-squares start, exact fit
 
     def test_calibrator_artifact_is_a_table(self, pipeline):
         with open(os.path.join(pipeline, "calibrator.json")) as fh:
@@ -319,26 +319,6 @@ class TestExitCodes:
 
     def test_missing_required_option_exits_one(self, tmp_path):
         assert main(["fit", "--out-dir", str(tmp_path)]) == 1
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_divergence_exits_two(self, tmp_path):
-        rng = np.random.default_rng(0)
-        data = make_dataset(
-            [5.0] * 12, [0] * 12, features=rng.normal(size=(12, 100))
-        )
-        path = str(tmp_path / "wide.csv")
-        write_dataset(data, path)
-        code = main(
-            [
-                "fit",
-                "--out-dir", str(tmp_path),
-                "--data", path,
-                "--label-domain", "0,10",
-                "--lr", "1e308",
-                "--epochs", "3",
-            ]
-        )
-        assert code == 2
 
     def test_argparse_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -633,15 +613,15 @@ FLAGS = {
         "--n", "--group-probs", "--noise-scales", "--feature-dim", "--label-domain",
         "--fractions",
     ],
-    "fit": ["--data", "--alpha", "--lr", "--epochs", "--label-domain", "--attribute-col"],
+    "fit": ["--data", "--alpha", "--epochs", "--label-domain", "--attribute-col"],
     "calibrate": [
         "--data", "--model", "--method", "--alpha", "--bins", "--max-iters", "--label-domain",
         "--attribute-col",
     ],
     "evaluate": ["--data", "--model", "--calibrator", "--label-domain", "--attribute-col"],
     "compare": [
-        "--train", "--cal", "--test", "--model", "--methods", "--alpha", "--bins", "--lr",
-        "--epochs", "--label-domain", "--attribute-col",
+        "--train", "--cal", "--test", "--model", "--methods", "--alpha", "--bins", "--epochs",
+        "--label-domain", "--attribute-col",
     ],
     "sweep-m": [
         "--data", "--model", "--m-values", "--alpha", "--label-domain", "--attribute-col",

@@ -19,6 +19,7 @@ from faircov import (
     cqr_calibrate_groupwise,
     cqr_score,
     equal_mass_bins,
+    evaluate,
     fair_calibrate,
     init_thresholds,
     measure_coverage,
@@ -306,6 +307,44 @@ class TestGroupwiseBaseline:
         with pytest.raises(EmptyCellError) as exc:
             cqr_calibrate_groupwise(data, None, 0.5)
         assert exc.value.group == 1
+
+
+def out_of_sample_bin_means(calibrate):
+    """Per-seed test bin-means, (seeds, groups): 100 seeds, 3k calibration and 3k test records.
+
+    ``calibrate(cal, m_bins)`` returns the calibrator; M is 4 on even
+    seeds and 8 on odd ones.
+    """
+    rows = []
+    for seed in range(100):
+        data, _ = synthetic_with_band(6000, (1.0, 3.0, 5.0), seed)
+        cal, test = data.subset(np.arange(3000)), data.subset(np.arange(3000, 6000))
+        report = evaluate(test, None, calibrate(cal, 4 if seed % 2 == 0 else 8))
+        rows.append(report.per_group_bin_mean)
+    return np.asarray(rows)
+
+
+def assert_valid_in_expectation(bin_means, alpha=0.1):
+    """Each group's mean test bin-mean is at least 1 - alpha - 3 standard errors."""
+    mean = bin_means.mean(axis=0)
+    se = bin_means.std(axis=0, ddof=1) / math.sqrt(bin_means.shape[0])
+    assert np.all(mean >= 1.0 - alpha - 3.0 * se), (mean, se)
+
+
+class TestOutOfSampleValidity:
+    def test_groupwise_cqr(self):
+        assert_valid_in_expectation(
+            out_of_sample_bin_means(lambda cal, m: cqr_calibrate_groupwise(cal, None, 0.1))
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="fuq meets its floors on the calibration set only, counting k/n, not k/(n + 1)",
+    )
+    def test_fuq(self):
+        assert_valid_in_expectation(
+            out_of_sample_bin_means(lambda cal, m: fair_calibrate(cal, None, m, 0.1)[0])
+        )
 
 
 class TestEmptyCells:

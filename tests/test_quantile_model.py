@@ -1,6 +1,4 @@
-"""Pinball loss and gradient, model fitting, and synthetic data."""
-
-import warnings
+"""Pinball loss and gradient, the exact model fit, and synthetic data."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faircov import (
-    DivergenceError,
     QuantileLevels,
     QuantileModel,
     SyntheticSpec,
@@ -115,189 +112,175 @@ class TestFit:
         d = make_dataset(
             np.full(200, 4.0), [0] * 200, features=rng.normal(size=(200, 2))
         )
-        m = fit(d, QuantileLevels.for_alpha(0.1), epochs=300)
-        assert np.all(np.abs(m.bias - 4.0) < 1e-3)
-        assert np.all(np.abs(m.weights) < 1e-2)
+        m = fit(d, QuantileLevels.for_alpha(0.1))
+        assert np.all(np.abs(m.bias - 4.0) < 1e-9)
+        assert np.all(np.abs(m.weights) < 1e-9)
 
     def test_noiseless_line_recovers_slope(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 5.0, size=(400, 1))
         y = 2.0 * x[:, 0]
         d = make_dataset(y, [0] * 400, features=x)
-        m = fit(d, QuantileLevels.for_alpha(0.1), epochs=800)
-        mid = m.levels.index_of(0.5)
-        assert abs(m.weights[mid, 0] - 2.0) < 0.05
+        m = fit(d, QuantileLevels.for_alpha(0.1))
+        np.testing.assert_allclose(m.weights[:, 0], 2.0, atol=1e-9)
 
     def test_gaussian_upper_quantile(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5000, 1))
         y = rng.normal(size=5000) + 5.0
         d = make_dataset(y, [0] * 5000, domain=(-10.0, 20.0), features=x)
-        m = fit(d, QuantileLevels.for_alpha(0.1), epochs=600)
+        m = fit(d, QuantileLevels.for_alpha(0.1))
         hi = m.levels.index_of(0.95)
         assert abs(m.bias[hi] - (5.0 + 1.645)) < 0.1
 
     def test_loss_trace_non_increasing(self):
+        # the least-squares start, then the exact fit
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 2))
-        y = np.clip(x @ np.array([1.0, -1.0]) + 5.0, 0.0, 10.0)
+        y = np.clip(x @ np.array([1.0, -1.0]) + 5.0 + rng.normal(size=300), 0.0, 10.0)
         d = make_dataset(y, [0] * 300, features=x)
-        m = fit(d, QuantileLevels.for_alpha(0.1), epochs=200)
-        trace = np.asarray(m.loss_trace)
-        assert np.all(np.diff(trace) <= quantile_model._LOSS_TOL)
+        trace = fit(d, QuantileLevels.for_alpha(0.1)).loss_trace
+        assert len(trace) == 2
+        assert trace[1] < trace[0]
 
-    def test_loss_trace_may_rise_within_tolerance(self):
-        # an accepted step may raise the loss by rounding noise below _LOSS_TOL
-        y = np.array([5.0] * 8 + [3.0, 7.0])
-        d = make_dataset(y, [0] * 10, features=np.arange(10.0)[:, None])
-        trace = np.diff(fit(d, QuantileLevels((0.5,)), epochs=200).loss_trace)
-        assert trace.max() > 0.0
-        assert trace.max() <= quantile_model._LOSS_TOL
+    def test_capped_fit_returns_its_iterate(self):
+        data = pipeline_training_split()
+        levels = QuantileLevels.for_alpha(0.1)
+        capped = fit(data, levels, epochs=1)
+        exact = fit(data, levels)
+        assert np.all(np.isfinite(capped.weights)) and np.all(np.isfinite(capped.bias))
+        assert exact.loss_trace[1] < capped.loss_trace[1] < capped.loss_trace[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_divergence_reported_with_epoch(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(50, 100))
-        y = np.full(50, 5.0)
-        d = make_dataset(y, [0] * 50, features=x)
-        with pytest.raises(DivergenceError, match="epoch 1"):
-            fit(d, QuantileLevels.for_alpha(0.1), lr=1e308, epochs=5)
+    def test_cap_must_be_positive(self):
+        d = make_dataset([1.0, 2.0], [0, 0], features=np.zeros((2, 1)))
+        with pytest.raises(ValidationError, match="iteration cap"):
+            fit(d, QuantileLevels.for_alpha(0.1), epochs=0)
 
     def test_requires_features(self):
         d = make_dataset([1.0, 2.0], [0, 0])
         with pytest.raises(ValidationError, match="feature"):
             fit(d, QuantileLevels.for_alpha(0.1))
 
+    def test_empty_training_set_rejected(self):
+        data = make_dataset([], [], features=np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="training dataset is empty"):
+            fit(data, QuantileLevels.for_alpha(0.1))
 
-def _reference_mean_pinball(y, preds, levels):
-    resid = y[:, None] - preds
-    per = np.where(resid >= 0.0, levels[None, :] * resid, (levels[None, :] - 1.0) * resid)
-    return float(per.mean())
 
-
-def _reference_fit(train, levels, lr=0.1, epochs=400, seed=0):
-    """The plain epoch loop: fresh arrays each epoch, ``where`` for branches."""
-    y = train.y
-    x = train.features
-    n, d = x.shape
-    qs = np.asarray(levels.levels, dtype=np.float64)
-    mu = x.mean(axis=0) if d else np.zeros(0)
-    sd = x.std(axis=0) if d else np.zeros(0)
-    sd = np.where(sd > 0, sd, 1.0)
-    xs = (x - mu) / sd if d else x
-
-    w = np.zeros((len(levels), d))
-    b = np.quantile(y, qs) if n else np.zeros(len(levels))
-    step = float(lr)
-    preds = xs @ w.T + b
-    loss = _reference_mean_pinball(y, preds, qs)
-    trace = [loss]
-    for epoch in range(1, epochs + 1):
-        g = np.where(y[:, None] >= preds, -qs[None, :], 1.0 - qs[None, :])
-        gw = (g.T @ xs) / n
-        gb = g.mean(axis=0)
-        w_new = w - step * gw
-        b_new = b - step * gb
-        preds_new = xs @ w_new.T + b_new
-        loss_new = _reference_mean_pinball(y, preds_new, qs)
-        if not np.isfinite(loss_new):
-            raise DivergenceError(epoch)
-        if loss_new <= loss + quantile_model._LOSS_TOL:
-            w, b, preds, loss = w_new, b_new, preds_new, loss_new
-        else:
-            step *= 0.5
-            if step < quantile_model._MIN_LR:
-                trace.append(loss)
-                break
-        trace.append(loss)
-
-    w_raw = w / sd if d else w
-    b_raw = b - (w_raw @ mu if d else 0.0)
-    return QuantileModel(
-        weights=w_raw, bias=b_raw, levels=levels, seed=seed, loss_trace=tuple(trace)
+def pipeline_training_split():
+    spec = SyntheticSpec(
+        n=5000,
+        group_probs=(0.25, 0.25, 0.25, 0.25),
+        feature_dim=3,
+        noise_scale_per_group=(1.0, 2.0, 3.0, 4.0),
+        label_domain=(0.0, 63.0),
+        seed=7,
     )
+    return generate_synthetic(spec)
+
+
+def random_instance(seed):
+    """n in [30, 1500], 0-4 features, labels on [0, 10]; every fourth rounded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 1501))
+    x = rng.normal(size=(n, int(rng.integers(0, 5))))
+    y = 5.0 + x @ rng.normal(size=x.shape[1]) + rng.uniform(0.5, 3.0) * rng.normal(size=n)
+    y = np.clip(y, 0.0, 10.0)
+    return make_dataset(np.round(y) if seed % 4 == 0 else y, [0] * n, features=x)
 
 
 class TestFitMatchesReference:
-    """``fit``'s buffered loop writes the same model.json as the plain loop."""
+    """Each level's mean pinball loss is the exact optimum, from scipy's HiGHS."""
 
-    def assert_same(self, data, levels=None, **kwargs):
+    def assert_exact(self, data, levels=None, **kwargs):
+        linprog = pytest.importorskip("scipy.optimize").linprog
         levels = levels or QuantileLevels.for_alpha(0.1)
-        got = fit(data, levels, **kwargs)
-        assert got.to_json() == _reference_fit(data, levels, **kwargs).to_json()
-        return got.loss_trace
+        model = fit(data, levels, **kwargs)
+        x, y = data.features, data.y
+        # the bounded dual: max y'a s.t. X'a = (1 - q) X'1, 0 <= a <= 1
+        design = np.column_stack([np.ones(data.n), x]).T
+        for j, q in enumerate(levels.levels):
+            lp = linprog(
+                -y, A_eq=design, b_eq=(1.0 - q) * design.sum(axis=1), bounds=(0.0, 1.0),
+                method="highs",
+            )
+            assert lp.status == 0, lp.message
+            best = (-lp.fun - (1.0 - q) * y.sum()) / data.n
+            got = float(pinball_loss(y, x @ model.weights[j] + model.bias[j], q).mean())
+            # the absolute term admits rounding where the optimum is 0
+            assert abs(got - best) <= 1e-9 * best + 1e-12, (q, got, best)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_instance(self, seed):
+        self.assert_exact(random_instance(seed))
 
     def test_pipeline_shaped_training_split(self):
-        spec = SyntheticSpec(
-            n=5000,
-            group_probs=(0.25, 0.25, 0.25, 0.25),
-            feature_dim=3,
-            noise_scale_per_group=(1.0, 2.0, 3.0, 4.0),
-            label_domain=(0.0, 63.0),
-            seed=7,
-        )
-        self.assert_same(generate_synthetic(spec), seed=7)
+        self.assert_exact(pipeline_training_split(), seed=7)
 
     def test_no_features(self):
         rng = np.random.default_rng(20)
         data = make_dataset(rng.uniform(0.0, 10.0, 300), [0] * 300, features=np.zeros((300, 0)))
-        self.assert_same(data, epochs=50)
+        self.assert_exact(data)
 
     def test_constant_labels(self):
         rng = np.random.default_rng(21)
         data = make_dataset(np.full(200, 4.0), [0] * 200, features=rng.normal(size=(200, 2)))
-        self.assert_same(data, epochs=300)
+        self.assert_exact(data)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_training_sets(self, n):
         rng = np.random.default_rng(22)
         data = make_dataset(rng.uniform(0.0, 10.0, n), [0] * n, features=rng.normal(size=(n, 2)))
-        self.assert_same(data, epochs=100)
+        self.assert_exact(data)
 
     def test_full_grid(self):
         rng = np.random.default_rng(23)
-        x = rng.normal(size=(1000, 3))
-        y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=1000), 0.0, 10.0)
-        self.assert_same(make_dataset(y, [0] * 1000, features=x), QuantileLevels.full_grid(), epochs=100)
+        x = rng.normal(size=(300, 3))
+        y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=300), 0.0, 10.0)
+        self.assert_exact(make_dataset(y, [0] * 300, features=x), QuantileLevels.full_grid())
 
-    def test_rejected_steps(self):
+    def test_constant_feature_column(self):
         rng = np.random.default_rng(24)
-        x = rng.normal(size=(1000, 3))
-        y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=1000), 0.0, 10.0)
-        trace = self.assert_same(make_dataset(y, [0] * 1000, features=x), lr=50.0, epochs=200)
-        assert np.any(np.diff(trace) == 0.0)  # some epochs kept their state
+        x = np.column_stack([rng.normal(size=400), np.full(400, 3.0)])
+        y = np.clip(5.0 + x[:, 0] + rng.normal(size=400), 0.0, 10.0)
+        self.assert_exact(make_dataset(y, [0] * 400, features=x))
 
-    def test_step_size_floor_ends_the_fit(self):
-        # far more features than records, one record scaled up: every step
-        # raises the loss, so each epoch halves it until it drops below the floor
-        x = np.random.default_rng(25).normal(size=(6, 5000))
-        x[0] *= 50.0
-        data = make_dataset([2.0, 2.0, 0.0, 0.0, 2.0, 2.0], [0] * 6, features=x)
-        trace = self.assert_same(data, epochs=100)
-        assert len(trace) < 101
+    def test_collinear_pair(self):
+        rng = np.random.default_rng(25)
+        u = rng.normal(size=400)
+        x = np.column_stack([u, 2.0 * u - 1.0, rng.normal(size=400)])
+        y = np.clip(5.0 + u + rng.normal(size=400), 0.0, 10.0)
+        self.assert_exact(make_dataset(y, [0] * 400, features=x))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_divergence_at_the_same_epoch(self):
-        rng = np.random.default_rng(26)
-        data = make_dataset(rng.uniform(0.0, 10.0, 50), [0] * 50, features=rng.normal(size=(50, 3)))
-        levels = QuantileLevels.for_alpha(0.1)
-        with pytest.raises(DivergenceError) as got:
-            fit(data, levels, lr=1e308, epochs=5)
-        with pytest.raises(DivergenceError) as want:
-            _reference_fit(data, levels, lr=1e308, epochs=5)
-        assert got.value.epoch == want.value.epoch
+    @pytest.mark.parametrize("n, d", [(12, 100), (6, 8), (3, 3)])
+    def test_fewer_records_than_coefficients(self, n, d):
+        x = np.random.default_rng(26).normal(size=(n, d))
+        y = np.random.default_rng(27).uniform(0.0, 10.0, n)
+        self.assert_exact(make_dataset(y, [0] * n, features=x))
 
-    def test_empty_training_set_diverges_at_epoch_1(self):
-        # fit rejects the empty set up front, before numpy sees it; the
-        # plain loop only fails on its NaN loss
-        data = make_dataset([], [], features=np.zeros((0, 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError, match="training dataset is empty"):
-                fit(data, QuantileLevels.for_alpha(0.1))
-        with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError, match="epoch 1"):
-            _reference_fit(data, QuantileLevels.for_alpha(0.1))
+    def test_wide_design_with_constant_labels(self):
+        # formerly the divergence case: 12 records, 100 features
+        x = np.random.default_rng(0).normal(size=(12, 100))
+        self.assert_exact(make_dataset([5.0] * 12, [0] * 12, features=x))
+
+
+class TestDualityGap:
+    """The returned dual certifies each level's loss; numpy only."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+    def test_gap_within_tolerance(self, seed, q):
+        data = pipeline_training_split() if seed == 0 else random_instance(seed)
+        y = data.y
+        design = np.column_stack([np.ones(data.n), data.features]).T
+        coef, a = quantile_model._frisch_newton(design, y, q, np.zeros(design.shape[0]), 400)
+        assert a.min() > -1e-12 and a.max() < 1.0 + 1e-12  # a and 1 - a are tracked apart
+        scale = np.abs(design).sum(axis=1)
+        np.testing.assert_array_less(np.abs(design @ a - (1.0 - q) * design.sum(axis=1)), 1e-9 * scale)
+        # the primal loss minus the dual objective, which no coefficients beat
+        loss = float(pinball_loss(y, coef @ design, q).sum())
+        gap = loss - (float(y @ a) - (1.0 - q) * float(y.sum()))
+        assert -1e-9 <= gap <= quantile_model._GAP_TOL * (1.0 + np.abs(y).sum())
 
 
 class TestGenerateSynthetic:
