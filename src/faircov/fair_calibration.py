@@ -18,14 +18,14 @@ of that entry. Moving to the adjacent order statistic is exactly "cover
 one fewer (or one more) sample". Cells covering at most one record are
 never drained further, which keeps every exchange width-bounded.
 
-A group's moves depend only on its own cells, so the paired exchanges
-are taken in runs: a run builds each of its donors' and recipients'
-greedy moves at once in numpy as a move stream, merges the streams by
-their group means, adds the moves to the covered counts and drops the
-streams. Single moves, picked from the slope tables read off the counts,
-remain for what a run cannot take: lone drops and adds, a donor that is
-exhausted or tie-locked, an add that carries its group past its window,
-the iteration cap and the width cleanup.
+A group's moves depend only on its own cells, so the moves that lift
+an under-covered group are taken in runs: a run builds each of its
+donors' and recipients' greedy moves at once in numpy as a move stream,
+merges the streams by their group means, adds the moves to the covered
+counts and drops the streams. A donor whose stream has run out sits
+out, and once no donor can give, the recipients take lone adds in the
+same run. Single moves, picked from the slope tables read off the
+counts, remain for the lone drops and the width cleanup.
 
 A group's mean is its bins' coverage rates added in bin order, then
 divided by M: numpy's axis-0 reduction of the C-ordered (M, S) rates
@@ -196,11 +196,10 @@ class IterationRecord:
     """One optimizer step, read off the columns of an :class:`OptimizerTrace`.
 
     Bin numbers are 1-based. A paired exchange fills both sides. A
-    one-sided rebalancing move (taken when no counterparty group sits on
-    the other side of the target) marks the absent side with group -1,
-    bin 0, and a NaN slope. A tie-locked donor, whose best decrease slope
-    is 0.0, cannot move: its side records that cell and slope 0.0, and its
-    mean is unchanged.
+    one-sided move (a lone add when no group above its window can give,
+    a lone drop when no group is below the target, or a trim) marks the
+    absent side with group -1, bin 0, and a NaN slope. Each side a move
+    names moved its cell's threshold.
     """
 
     step: int
@@ -343,7 +342,7 @@ class _MoveStream:
     """One group's greedy moves in one direction, from the covered counts it was built on.
 
     A stream lives for one run: the run builds the streams of its donors
-    and recipients, takes its exchanges and drops them. Drops take the
+    and recipients, takes its moves and drops them. Drops take the
     first bin with the largest decrease slope at every step, adds the
     first bin with the smallest increase slope. A bin's slopes, read from
     its covering order statistic outwards, are not monotone, but a bin is
@@ -352,7 +351,8 @@ class _MoveStream:
     ties go to the lower bin, then the earlier move. Drops read every
     covered score and end at a bin's first zero slope, a tie that cannot
     move, so a drop stream is empty exactly when no bin has a positive
-    decrease slope. An add stream has a move while any cell has room, so
+    decrease slope, and a donor that has taken its whole stream has no
+    positive slope left. An add stream has a move while any cell has room, so
     it is empty exactly when every cell is full.
 
     ``flat`` is the layout of :func:`_lay_out`; ``first``, ``sizes`` and
@@ -464,38 +464,40 @@ def eoc_optimize(
     model: QuantileModel | None,
     table0: ThresholdTable,
     state0: CoverageState,
-    alpha: float,
+    *,
     max_iters: int | None = None,
 ) -> tuple[ThresholdTable, OptimizerTrace]:
     """Equalize per-group coverage by single-sample threshold moves.
 
-    While some group sits above its parking window and another below the
-    target, each iteration pairs them: it drops one covered sample from
-    the donor bin with the largest decrease slope and covers one more
-    sample in the recipient bin with the smallest increase slope. A
-    paired exchange never lowers the pooled covered count, so validity
-    is never spent. Once every group is on the same side, the loop
-    switches to one-sided moves: lone drops from the most over-covered
-    group, taken only while the pooled covered count stays at or above
-    its floor of ``ceil(n * (1 - alpha))``, or lone additions to the
-    most under-covered group, which only add coverage. A drop uncovers
-    one sample; an add covers one, or several when the newly covered
-    score ties the next ones. A donor whose best decrease slope is 0.0
-    is tie-locked: its drop cannot move, so an exchange from it records
-    slope 0.0 and the donor's mean unchanged, and only the add moves.
+    The target is ``1 - table0.alpha``. While some group sits below the
+    target, each iteration lifts the lowest such group, the recipient,
+    by covering one more sample in its bin with the smallest increase
+    slope. The highest group above its parking window that still has a
+    positive decrease slope donates: it drops one covered sample from
+    its bin with the largest decrease slope. A paired exchange never
+    lowers the pooled covered count, so validity is never spent. When
+    no group above its window can give (each of its cells covers at
+    most one sample, or only tied ones), the recipient takes a lone
+    add, which only adds coverage. Once no group is below the target,
+    lone drops from the most over-covered group follow, taken only
+    while the pooled covered count stays at or above its floor of
+    ``ceil(n * (1 - alpha))``. A drop uncovers one sample; an add covers
+    one, or several when the newly covered score ties the next ones.
 
     Terminates ``converged`` when every group parks inside the one-sided
     window ``[1 - alpha, 1 - alpha + stop]`` with ``stop`` one move
     quantum (one sample of the group's smallest cell, averaged over
     bins), which keeps it inside the documented tolerance band;
-    ``slope_crossover`` when no realizable move remains (donor with
-    nothing left to give, a lone drop blocked by the covered-count floor,
-    or tie-locked thresholds);
-    ``max_iters`` at the iteration cap, returning the table reached so
-    far, also when the cap cuts the width cleanup short while a pass still
-    has a move to make (a cleanup that ends on its own exactly at the cap
-    is ``converged``). Slopes are recorded per move so the width
-    economics of every move stay observable in the trace's columns.
+    ``slope_crossover`` when a lone drop cannot move: the most
+    over-covered group's best decrease slope is at most 0.0, or the drop
+    would take the pooled covered count below its floor. Both exits
+    leave every group at or above the target and the pooled count at or
+    above its floor. ``max_iters`` at the iteration cap, returning the
+    table reached so far, which may miss a floor, also when the cap cuts
+    the width cleanup short while a pass still has a move to make (a
+    cleanup that ends on its own exactly at the cap is ``converged``).
+    Slopes are recorded per move so the width economics of every move
+    stay observable in the trace's columns.
 
     The state is one ``(M, S)`` table ``k`` of covered counts. Before
     iterating, each cell's count is that of its seed threshold, and every
@@ -522,27 +524,28 @@ def eoc_optimize(
     covered count never falls below its floor.
 
     Every threshold sits on its cell's covering order statistic, so a
-    drop that moves covers exactly one sample fewer, and an add exactly
-    one more unless the newly covered score ties the next ones.
+    drop covers exactly one sample fewer, and an add exactly one more
+    unless the newly covered score ties the next ones.
 
-    Paired exchanges are taken in runs. A group's moves depend only on
-    its own cells, so a run builds each donor's greedy drops (and each
-    recipient's adds) as a stream: each cell's order-statistic spacings,
-    read from the covering one outwards, stably sorted by their running
-    minimum (maximum for adds), which is the order a first-of-equal pick
-    over the slope table takes them in. A cumsum of the stream's covered
-    counts gives the group mean after each of its moves. Within a run
-    donor means only fall and recipient means only rise, so the donor
-    picks are the donors' before-move means sorted descending and the
-    recipient picks the recipients' sorted ascending, ties to the lower
-    group, then the earlier move; the run's block of trace rows is
-    written from those arrays. The run then adds its moves to ``k`` and
-    drops its streams. A run starts whenever the top donor has a positive
-    decrease slope, and then takes at least one exchange. Single moves,
-    each written as a one-row block, take the steps a run cannot: lone
-    drops and adds, an exhausted or tie-locked donor, and the cleanup; a
-    run also ends after an add that carries its group past its window, as
-    the group may donate next.
+    The moves that lift a group below the target are taken in runs. A
+    group's moves depend only on its own cells, so a run builds each
+    donor's greedy drops (and each recipient's adds) as a stream: each
+    cell's order-statistic spacings, read from the covering one
+    outwards, stably sorted by their running minimum (maximum for adds),
+    which is the order a first-of-equal pick over the slope table takes
+    them in. A cumsum of the stream's covered counts gives the group
+    mean after each of its moves. Within a run donor means only fall and
+    recipient means only rise, so the donor picks are the donors'
+    before-move means sorted descending and the recipient picks the
+    recipients' sorted ascending, ties to the lower group, then the
+    earlier move. A donor gives picks only while its stream has moves;
+    once the donor picks run out, the remaining recipient picks are lone
+    adds. The run's block of trace rows is written from those arrays,
+    the run adds its moves to ``k`` and drops its streams. A run starts
+    whenever some group is below the target, and ends after an add that
+    carries its group past its window, as the group may donate next.
+    The lone drops and the cleanup are single moves, each written as a
+    one-row block.
 
     A group mean adds its bins' rates in bin order, in a single move and
     in a stream alike. The means decide tie breaks and go into the trace,
@@ -558,14 +561,14 @@ def eoc_optimize(
         max_iters = 10 * cal.n
     if max_iters < 1:
         raise ValidationError("max_iters must be positive")
-    target = 1.0 - alpha
+    target = 1.0 - table0.alpha
     s_groups = table0.group_count
     m_bins = table0.partition.m
     init_means = tuple(float(v) for v in state0.per_group_mean)
     if s_groups == 1:
         return table0, _trace(init_means, np.empty((0, 6 + s_groups)), CONVERGED)
 
-    cell_scores = CellScores.measure(cal, model, table0.partition, alpha)
+    cell_scores = CellScores.measure(cal, model, table0.partition, table0.alpha)
     counts = cell_scores.counts
     k = cell_scores.covered(table0.r_hat)
     flat, first = _lay_out(cell_scores, table0.r_hat)
@@ -579,10 +582,9 @@ def eoc_optimize(
         kc = k[:, c]
         return np.where(kc >= 2, spacing[first[:, c] + kc - 1], -np.inf)
 
-    def adds(c=slice(None)) -> np.ndarray:
-        # the increase slopes of the cells in columns c
-        kc = k[:, c]
-        return np.where(kc < counts[:, c], spacing[first[:, c] + kc], np.inf)
+    def adds() -> np.ndarray:
+        # the increase slopes of every cell
+        return np.where(k < counts, spacing[first + k], np.inf)
 
     def means() -> list[float]:
         # bins added in order: k stays C-ordered, so the axis-0 reduction
@@ -605,60 +607,55 @@ def eoc_optimize(
     cell_weight = 1.0 / (m_bins * s_groups)
     quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
 
-    def shift(m: int, s: int, offset: int) -> bool:
+    def shift(m: int, s: int, offset: int) -> None:
         # Move cell (m, s)'s threshold ``offset`` places along flat: -1
-        # drops one covered sample, +1 covers one more. False when tied
-        # scores leave the threshold where it was. The count becomes the
-        # new threshold's: k - 1 for a drop that moves, k + 1 for an add
-        # unless the newly covered score ties the next one.
-        at = first[m, s] + k[m, s]
-        new = flat[at + offset]
-        if new == flat[at]:
-            return False
+        # drops one covered sample, +1 covers one more. The count becomes
+        # the new threshold's: k - 1 for a drop, k + 1 for an add unless
+        # the newly covered score ties the next one. Only moves with a
+        # positive slope are asked for, so the threshold always moves.
+        new = flat[first[m, s] + k[m, s] + offset]
         start = first[m, s] + 1
         k[m, s] = _covered_count(flat[start : start + counts[m, s]], new)
-        return True
 
     def run(over: list[int], under: list[int]) -> None:
-        # Takes the paired exchanges ahead as one run. Donors only fall
-        # and recipients only rise, so the picks are the donors'
-        # before-move means sorted descending and the recipients' sorted
-        # ascending, ties to the lower group, then the earlier move. A
-        # run stops before a donor with no move left and after an add
-        # that carries its group past its window; a recipient fills up
-        # only at mean 1, above its window. The run's streams are built
-        # from the counts it starts on and dropped at its end.
+        # Takes the moves that lift the groups in ``under`` as one run.
+        # Donors only fall and recipients only rise, so the picks are the
+        # donors' before-move means sorted descending and the recipients'
+        # sorted ascending, ties to the lower group, then the earlier
+        # move. A donor gives only while its drop stream has moves; the
+        # recipient picks past the donors' are lone adds, whose absent
+        # donor side is group -1, bin 0 and a NaN slope. A run stops
+        # after an add that carries its group past its window; a
+        # recipient fills up only at mean 1, above its window. The run's
+        # streams are built from the counts it starts on and dropped at
+        # its end.
         nonlocal mu, steps
         budget = max_iters - steps
-        streams, ends, sides = {}, np.zeros(s_groups, dtype=np.int64), []
+        streams, sides = {}, []
         for groups_, sign in ((over, -1), (under, 1)):
-            mus, gs, ts = [], [], []
+            mus, gs, ts = [np.empty(0)], [np.empty(0, int)], [np.empty(0, int)]  # none if no donor
             for s in groups_:
                 st = streams[s] = _MoveStream(flat, first[:, s], counts[:, s], k[:, s], sign < 0)
                 if sign < 0:
-                    n = st.span(lambda v: v - level > slack[s], budget)
+                    n = min(st.span(lambda v: v - level > slack[s], budget), st.size)
                 else:
                     n = st.span(lambda v: v < floor, budget)
                 mus.append(st.mu[:n])
                 gs.append(np.full(n, s))
                 ts.append(np.arange(n))
-                ends[s] = st.size
             mus, gs, ts = map(np.concatenate, (mus, gs, ts))
             order = np.lexsort((ts, gs, sign * mus))[:budget]
             sides.append((gs[order], ts[order]))
         (g1, t1), (g2, t2) = sides
-        n = min(g1.size, g2.size)
-        stall = np.flatnonzero(t1[:n] == ends[g1[:n]])
-        if stall.size:
-            n = int(stall[0])
-        assert n, "the top donor's drop stream is non-empty, so it moves first"
-        g1, t1, g2, t2 = g1[:n], t1[:n], g2[:n], t2[:n]
+        n, paired = g2.size, min(g1.size, g2.size)
+        g1 = np.concatenate((g1[:paired], np.full(n - paired, -1)))
         block = np.empty((n, 6 + s_groups))  # the run's rows of the trace
         block[:, 0], block[:, 1] = g1, g2
+        block[:, 2], block[:, 4] = 0, np.nan  # a lone add's absent donor side
         rise = np.empty(n)  # the mover's mean after each move; recipients' last
-        for g, t, side in ((g1, t1, 0), (g2, t2, 1)):
+        for g, t, side in ((g1[:paired], t1, 0), (g2, t2, 1)):
             for s in set(g.tolist()):
-                st, mine = streams[s], g == s
+                st, mine = streams[s], np.flatnonzero(g == s)
                 block[mine, 2 + side] = st.bins[t[mine]] + 1
                 block[mine, 4 + side] = st.slopes[t[mine]]
                 rise[mine] = st.mu[t[mine] + 1]
@@ -672,7 +669,7 @@ def eoc_optimize(
         after = block[:, 6:]
         after[:] = mu  # a waiting group keeps its current mean
         for g in (g1, g2):
-            for s in set(g.tolist()):
+            for s in set(g.tolist()) - {-1}:
                 st, moved = streams[s], np.cumsum(g == s)
                 b = int(moved[-1])
                 after[:, s] = st.mu[moved]
@@ -693,54 +690,31 @@ def eoc_optimize(
         blocks.append(np.array([(s1, s2, b1, b2, d_slope, i_slope, *mu)], dtype=np.float64))
         steps += 1
 
-    # max and min keep the first of equal candidates, so ties go to the
-    # lowest group, and argmax and argmin to the lowest bin.
+    # max keeps the first of equal candidates, so ties go to the lowest
+    # group, and argmax to the lowest bin.
     slack = (stop + eps).tolist()
     floor = level - eps
     reason: str | None = None
     while steps < max_iters:
         over = [s for s in groups if mu[s] - level > slack[s]]
         under = [s for s in groups if mu[s] < floor]
-        if not over and not under:
+        if under:
+            run(over, under)
+            continue
+        if not over:
             reason = CONVERGED
             break
-        if over and under:
-            s1 = max(over, key=mu.__getitem__)
-            s2 = min(under, key=mu.__getitem__)
-        elif over:
-            s1, s2 = max(groups, key=mu.__getitem__), -1  # every group at or above level
-        else:
-            s1, s2 = -1, min(groups, key=mu.__getitem__)  # every group at or below window
-
-        m1 = m2 = -1
-        d_slope = i_slope = math.nan
-        if s1 >= 0:
-            dec = drops(s1)
-            m1 = int(dec.argmax())
-            d_slope = dec[m1]
-            if s2 >= 0 and d_slope > 0.0:
-                run(over, under)  # the donor has a drop stream, so a run moves
-                continue
-            if d_slope == -math.inf:
-                reason = SLOPE_CROSSOVER  # donor has nothing left to give
-                break
-        if s2 >= 0:
-            inc = adds(s2)
-            m2 = int(inc.argmin())
-            i_slope = inc[m2]
-            assert i_slope < math.inf, "a recipient is below 1 - alpha, so a cell has room"
-        if s1 >= 0 and s2 < 0 and k.sum() - 1 < k_floor:
-            # a lone drop spends pooled coverage; keep the covered count
-            # at or above the overall floor
+        # every group at or above level: a lone drop from the most
+        # over-covered group, if it can move and keeps the pooled covered
+        # count at or above its floor
+        s1 = max(groups, key=mu.__getitem__)
+        dec = drops(s1)
+        m1 = int(dec.argmax())
+        if dec[m1] <= 0.0 or k.sum() - 1 < k_floor:
             reason = SLOPE_CROSSOVER
             break
-
-        moved = s1 >= 0 and shift(m1, s1, -1)
-        moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
-        if not moved:
-            reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
-            break
-        record(s1, s2, m1, m2, d_slope, i_slope)
+        shift(m1, s1, -1)
+        record(s1, -1, m1, 0, dec[m1], math.nan)
     if reason is None:
         reason = MAX_ITERS
 
@@ -806,7 +780,7 @@ def eoc_optimize(
     table = ThresholdTable(
         r_hat=flat[first + k],
         global_r_hat=table0.global_r_hat,
-        alpha=alpha,
+        alpha=table0.alpha,
         partition=table0.partition,
         group_count=s_groups,
     )
@@ -827,7 +801,7 @@ def fair_calibrate(
         else equal_mass_bins(cal.y, bins, cal.label_domain)
     )
     table0, state0 = init_thresholds(cal, model, partition, alpha)
-    return eoc_optimize(cal, model, table0, state0, alpha, max_iters=max_iters)
+    return eoc_optimize(cal, model, table0, state0, max_iters=max_iters)
 
 
 def cqr_calibrate_groupwise(

@@ -121,6 +121,9 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
     file both read it, so their coverage agrees.
     """
     if isinstance(calibrator, ThresholdTable):
+        top = int(test.group.max(initial=0))
+        if top >= calibrator.group_count:
+            raise ValidationError(f"group id {top} outside [0, {calibrator.group_count})")
         q_lo, q_hi, med = band_columns(test, model, calibrator.alpha)
         partition = calibrator.partition
         r_hat = calibrator.r_hat

@@ -166,14 +166,14 @@ class TestSingleScoringPass:
         table0, _ = init_thresholds(data, None, part, 0.1)
         _, stale = init_thresholds(other, None, part, 0.1)
         with pytest.raises(ValidationError, match="state0"):
-            eoc_optimize(data, None, table0, stale, 0.1)
+            eoc_optimize(data, None, table0, stale)
 
     def test_state_from_another_partition_rejected(self):
         data, _ = synthetic_with_band(200, (1.0, 3.0), seed=5)
         table0, _ = init_thresholds(data, None, equal_mass_bins(data.y, 2, data.label_domain), 0.1)
         _, stale = init_thresholds(data, None, equal_mass_bins(data.y, 3, data.label_domain), 0.1)
         with pytest.raises(ValidationError, match="state0"):
-            eoc_optimize(data, None, table0, stale, 0.1)
+            eoc_optimize(data, None, table0, stale)
 
 
 class TestSlopes:
@@ -270,7 +270,7 @@ class TestCollapseIdentities:
         data, _ = synthetic_with_band(80, (1.5,), seed=4)
         part = equal_mass_bins(data.y, 3, data.label_domain)
         table0, state0 = init_thresholds(data, None, part, 0.1)
-        table, trace = eoc_optimize(data, None, table0, state0, 0.1)
+        table, trace = eoc_optimize(data, None, table0, state0)
         assert table is table0
         assert trace.termination_reason == CONVERGED
         assert trace.iterations == ()
@@ -600,23 +600,10 @@ def window_crossings(trace, state0, alpha):
     return hits
 
 
-def locked_after_moving(trace, kinds):
-    """Steps of exchanges whose donor could not move, right after an
-    exchange whose donor did: the recipient still takes its add."""
-    means = [trace.initial_per_group_mean] + [it.per_group_mean for it in trace.iterations]
-    steps = []
-    for i in range(1, len(kinds)):
-        if kinds[i - 1] == kinds[i] == "exchange":
-            a, b = trace.iterations[i - 1].donor_group, trace.iterations[i].donor_group
-            if means[i][a] < means[i - 1][a] and means[i + 1][b] == means[i][b]:
-                steps.append(i + 1)
-    return steps
-
-
 def tie_locked():
-    # Group 0's six scores are tied, group 1's are 1..6. Exchanges whose
-    # tied drop cannot move still lift group 1 to the target; group 0 then
-    # sits above its window alone, and its lone drop lands on a tied order
+    # Group 0's six scores are tied, group 1's are 1..6. Group 0 cannot
+    # give, so lone adds lift group 1 to the target; group 0 then sits
+    # above its window alone, and its lone drop lands on a tied order
     # statistic, so nothing can move.
     return point_band_dataset([(1.0,) * 6, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
 
@@ -637,10 +624,8 @@ class TestOptimizerMatchesReference:
 
     def assert_same(self, data, m_bins, alpha, max_iters=None):
         table0, state0 = seeded(data, m_bins, alpha)
-        table, trace = eoc_optimize(data, None, table0, state0, alpha, max_iters=max_iters)
-        want_table, want_trace = _reference_eoc_optimize(
-            data, None, table0, state0, alpha, max_iters=max_iters
-        )
+        table, trace = eoc_optimize(data, None, table0, state0, max_iters=max_iters)
+        want_table, want_trace = _reference_eoc_optimize(data, None, table0, state0, max_iters=max_iters)
         assert table.r_hat.tobytes() == want_table.r_hat.tobytes()
         assert_same_trace(trace, want_trace)
         return trace, move_kinds(trace, state0, alpha)
@@ -668,7 +653,7 @@ class TestOptimizerMatchesReference:
     def test_tie_locked_crossover(self):
         trace, kinds = self.assert_same(tie_locked(), 1, 0.5)
         assert trace.termination_reason == SLOPE_CROSSOVER
-        assert kinds == ["exchange", "exchange"]
+        assert kinds == ["lone_add", "lone_add"]
         # group 0 covers six samples and the pooled count (9) is above its
         # floor (6): only the tie stops the lone drop
         assert trace.iterations[-1].per_group_mean == (1.0, 0.5)
@@ -735,8 +720,8 @@ class TestOptimizerMatchesReference:
         assert trace.initial_per_group_mean[:2] == (1.0, 1.0)
         assert trace.iterations[0].donor_group == 1
 
-    # Paired exchanges are taken in runs; the next four tests stop a run
-    # at each of its boundaries.
+    # The moves that lift a group below the target are taken in runs; the
+    # next four tests reach each of a run's boundaries.
 
     def test_tied_add_carries_a_recipient_across_its_window(self):
         # group 1 jumps from under the target to over its window while
@@ -749,24 +734,40 @@ class TestOptimizerMatchesReference:
             for step, s in crossings
         )
 
-    def test_tie_locked_donor_is_paired_inside_a_run(self):
-        data = calibration_set(59, 4, 94, ties=0.2)
-        trace, kinds = self.assert_same(data, 5, 0.5)
-        assert locked_after_moving(trace, kinds)
-
-    def test_donor_runs_out_mid_run(self):
-        # group 3's last covered samples sit one to a cell while it is
-        # still above its window, after exchanges that drained it
-        data = calibration_set(2732, 4, 47)
-        table, trace = eoc_optimize(data, None, *seeded(data, 7, 0.5), 0.5)
-        _, kinds = self.assert_same(data, 7, 0.5)
-        assert trace.termination_reason == SLOPE_CROSSOVER
-        assert kinds[-2:] == ["exchange", "exchange"]
-        donor = trace.iterations[-1].donor_group
+    def test_locked_top_donor_sits_out(self):
+        # group 1 is the most over-covered group, but every cell's top
+        # covered scores tie, so it cannot give; group 2, also above its
+        # window, donates to group 0 instead
+        data = calibration_set(8, 3, 80, ties=1.0)
+        table0, state0 = seeded(data, 3, 0.5)
+        table, _ = eoc_optimize(data, None, table0, state0)
+        trace, kinds = self.assert_same(data, 3, 0.5)
+        assert kinds == ["exchange"]
+        mu0 = trace.initial_per_group_mean
+        assert mu0[1] > mu0[2] > 0.5 + 1.0 / (3 * state0.cell_counts[:, 2].min())
+        k = state0.cells.covered(table0.r_hat)
+        cells = [state0.cells.cells[m][1] for m in range(3)]
+        assert all(km >= 2 and _dec_slope(c, km) == 0.0 for c, km in zip(cells, k[:, 1]))
+        assert (trace.donor_group.tolist(), trace.recipient_group.tolist()) == ([2], [0])
         state = measure_coverage(data, None, table)
-        assert np.rint(state.beta[:, donor] * state.cell_counts[:, donor]).max() == 1
-        level, stop = 0.5, 1.0 / (7 * state.cell_counts[:, donor].min())
-        assert state.per_group_mean[donor] - level > stop
+        assert state.per_group_mean[1] == mu0[1]
+        assert np.all(state.per_group_mean >= 0.5 - 1e-12)
+
+    def test_drained_donor_sits_out(self):
+        # group 3 gives until each of its cells covers one sample, while
+        # it is still above its window; it sits out, and group 2 reaches
+        # the target with a lone add in the same run
+        data = calibration_set(2732, 4, 47)
+        table, _ = eoc_optimize(data, None, *seeded(data, 7, 0.5))
+        trace, kinds = self.assert_same(data, 7, 0.5)
+        assert trace.termination_reason == SLOPE_CROSSOVER
+        assert kinds == ["exchange"] * 4 + ["lone_add"]
+        assert set(trace.donor_group.tolist()) == {3, -1}
+        assert trace.iterations[-1].recipient_group == 2
+        state = measure_coverage(data, None, table)
+        assert np.rint(state.beta[:, 3] * state.cell_counts[:, 3]).max() == 1
+        assert state.per_group_mean[3] - 0.5 > 1.0 / (7 * state.cell_counts[:, 3].min())
+        assert np.all(state.per_group_mean >= 0.5 - 1e-12)
 
     def test_iteration_cap_lands_mid_run(self):
         data = calibration_set(7, 5, 300)
@@ -785,9 +786,9 @@ class TestOptimizerMatchesReference:
 
     @given(calibration_cases())
     def test_empty_streams_show_in_the_slope_tables(self, case):
-        # a run returns at once when its donor's drop stream is empty,
-        # read off the decrease slopes; an add stream is empty exactly
-        # when every cell of its group is full
+        # a donor sits out of a run when its drop stream is empty, which
+        # the decrease slopes show; an add stream is empty exactly when
+        # every cell of its group is full
         data, m_bins, alpha = case
         table0, state0 = seeded(data, m_bins, alpha)
         flat, first = _lay_out(state0.cells, table0.r_hat)
@@ -812,10 +813,10 @@ class TestOptimizerMatchesReference:
 
 
 class TestOptimizerProperties:
-    # Cells of at least two records: with a cell of one record the
-    # optimizer can stop with a group below its floor (see
-    # test_exhausted_donor_strands_the_recipient).
-    @given(calibration_cases(min_cell=2))
+    # Cells of one record included: a donor whose cells each cover at most
+    # one sample sits out, and the recipient takes lone adds (see
+    # test_exhausted_donor_does_not_strand_the_recipient).
+    @given(calibration_cases(min_cell=1))
     def test_every_finished_exit_meets_the_floors(self, case):
         data, m_bins, alpha = case
         table, trace = fair_calibrate(data, None, m_bins, alpha)
@@ -840,18 +841,15 @@ class TestOptimizerProperties:
     def test_single_group_keeps_the_seed_table(self, case):
         data, m_bins, alpha = case
         table0, state0 = seeded(data, m_bins, alpha)
-        table, trace = eoc_optimize(data, None, table0, state0, alpha)
+        table, trace = eoc_optimize(data, None, table0, state0)
         assert table is table0
         assert trace.iterations == ()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an exhausted donor ends the exchange loop before a lone add can lift the recipient",
-    )
-    def test_exhausted_donor_strands_the_recipient(self):
+    def test_exhausted_donor_does_not_strand_the_recipient(self):
         # one record per cell: group 0 covers all eight and sits above its
         # window, but no cell has a second covered sample to give, while
-        # group 1 covers five of eight, below the 0.7 target
+        # group 1 covers five of eight, below the 0.7 target; a lone add
+        # lifts group 1, and group 0's lone drop then has nothing to give
         y = np.repeat(np.arange(8) + 0.5, 2)
         score = np.zeros(16)
         score[1::2] = [0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0]
@@ -921,7 +919,7 @@ def _reference_eoc_optimize(
     model: QuantileModel | None,
     table0: ThresholdTable,
     state0: CoverageState,
-    alpha: float,
+    *,
     max_iters: int | None = None,
 ) -> tuple[ThresholdTable, OptimizerTrace]:
     """The optimizer with per-cell scans: every move recomputes the slopes
@@ -932,6 +930,7 @@ def _reference_eoc_optimize(
         max_iters = 10 * cal.n
     if max_iters < 1:
         raise ValidationError("max_iters must be positive")
+    alpha = table0.alpha
     target = 1.0 - alpha
     s_groups = table0.group_count
     m_bins = table0.partition.m
@@ -998,32 +997,39 @@ def _reference_eoc_optimize(
             )
         )
 
+    def best_drop(s: int) -> tuple[float, int]:
+        # group s's largest decrease slope and the first bin that has it
+        best, arg = -np.inf, -1
+        for m in range(m_bins):
+            if k[m, s] >= 2:
+                slope = _dec_slope(cells[m][s], int(k[m, s]))
+                if slope > best:
+                    best, arg = slope, m
+        return best, arg
+
     reason: str | None = None
     for _ in range(max_iters):
         mu = group_means()
         over_band = (mu - level) > stop + eps
         under = mu < level - eps
-        if not bool(over_band.any()) and not bool(under.any()):
-            reason = CONVERGED
-            break
-        if bool(over_band.any()) and bool(under.any()):
-            s1 = int(np.argmax(np.where(over_band, mu, -np.inf)))
+        if bool(under.any()):
+            # the highest over-window group that can still give donates;
+            # when none can, the recipient takes a lone add
+            donors = [s for s in range(s_groups) if over_band[s] and best_drop(s)[0] > 0.0]
+            s1 = max(donors, key=lambda s: mu[s]) if donors else -1
             s2 = int(np.argmin(np.where(under, mu, np.inf)))
         elif bool(over_band.any()):
             s1, s2 = int(np.argmax(mu)), -1  # every group at or above level
         else:
-            s1, s2 = -1, int(np.argmin(mu))  # every group at or below window
+            reason = CONVERGED
+            break
 
-        best_dec, m1 = -np.inf, -1
-        if s1 >= 0:
-            for m in range(m_bins):
-                if k[m, s1] >= 2:
-                    slope = _dec_slope(cells[m][s1], int(k[m, s1]))
-                    if slope > best_dec:
-                        best_dec, m1 = slope, m
-            if m1 < 0:
-                reason = SLOPE_CROSSOVER  # donor has nothing left to give
-                break
+        best_dec, m1 = best_drop(s1) if s1 >= 0 else (np.nan, -1)
+        if s2 < 0 and (best_dec <= 0.0 or int(k.sum()) - 1 < k_floor):
+            # a lone drop that cannot move, or that would take the pooled
+            # covered count below its floor
+            reason = SLOPE_CROSSOVER
+            break
         best_inc, m2 = np.inf, -1
         if s2 >= 0:
             for m in range(m_bins):
@@ -1032,19 +1038,12 @@ def _reference_eoc_optimize(
                     if slope < best_inc:
                         best_inc, m2 = slope, m
             assert m2 >= 0, "a recipient is below 1 - alpha, so a cell has room"
-        if s1 >= 0 and s2 < 0:
-            # a lone drop spends pooled coverage; keep the covered count
-            # at or above the overall floor
-            if int(k.sum()) - 1 < k_floor:
-                reason = SLOPE_CROSSOVER
-                break
 
-        moved = s1 >= 0 and shift(m1, s1, -1)
-        moved = (s2 >= 0 and shift(m2, s2, 1)) or moved
-        if not moved:
-            reason = SLOPE_CROSSOVER  # tie-locked, no realizable move
-            break
-        record(s1, s2, m1, m2, best_dec if s1 >= 0 else np.nan, best_inc if s2 >= 0 else np.nan)
+        for m, s, offset in ((m1, s1, -1), (m2, s2, 1)):
+            if s >= 0:
+                moved = shift(m, s, offset)
+                assert moved, "every move the rule picks has a positive slope"
+        record(s1, s2, m1, m2, best_dec, best_inc if s2 >= 0 else np.nan)
     if reason is None:
         reason = MAX_ITERS
 

@@ -19,6 +19,7 @@ from faircov import (
     mpiw,
     picp,
     picp_gap,
+    predict_interval,
     report_to_json,
 )
 from faircov.metrics import comparison_header, comparison_row, mae, rmse
@@ -206,6 +207,16 @@ class TestEvaluate:
     def test_unsupported_calibrator_rejected(self, six_record_fixture):
         with pytest.raises(ValidationError, match="unsupported"):
             evaluate(six_record_fixture, None, object())
+
+    def test_group_without_a_table_column_rejected(self, six_record_fixture):
+        # a record of group 2 against a 2-group table: evaluate names the
+        # group, as predict_interval does for the same record
+        table = self.table(six_record_fixture)
+        data = make_dataset([1.0, 6.0], [0, 2], q_lo=[0.5, 5.5], q_hi=[2.0, 7.0], group_count=3)
+        with pytest.raises(ValidationError, match=r"group id 2 outside \[0, 2\)"):
+            evaluate(data, None, table)
+        with pytest.raises(ValidationError, match=r"group id 2 outside \[0, 2\)"):
+            predict_interval(5.5, 7.0, 2, table)
 
 
 class TestReportJson:
