@@ -3,17 +3,20 @@
 A calibrated prediction is the union over label bins of the band
 ``[q_lo - r, q_hi + r]`` intersected with the bin, where the shift ``r``
 depends on the record's group and the bin. Only the kernel
-:func:`band_pieces` computes it: every other band user reads its clipped
-piece bounds. The pieces are C-ordered ``(M, n)`` arrays, one contiguous
-row per bin, so every compare and mask runs along records; a caller
-walking records in blocks can hand the kernel the same two buffers for
-every block. :func:`union_widths` adds each record's piece lengths in
-numpy's pairwise order, so a width has the bits of ``np.add.reduce`` over
-that record's lengths. Components touching at a bin bound merge, and bin
-pieces are closed at merge time (a measure-zero change from the
-half-open bins), so every :class:`IntervalSet` is a set of closed,
-pairwise disjoint, ascending intervals. When every piece is empty the prediction
-degenerates to a zero-width fallback point.
+:func:`band_pieces` computes it: every other band user but
+:func:`union_covered` reads its clipped piece bounds. The pieces are
+C-ordered ``(M, n)`` arrays, one contiguous row per bin, so every compare
+and mask runs along records; a caller walking records in blocks can hand
+the kernel the same two buffers for every block. :func:`union_widths`
+adds each record's piece lengths in numpy's pairwise order, so a width
+has the bits of ``np.add.reduce`` over that record's lengths.
+:func:`union_covered` tests each label against its own bin's band only
+(and the bin below's when the label sits on a cut), so it reads the band
+columns and the label bins, not the pieces. Components touching at a bin
+bound merge, and bin pieces are closed at merge time (a measure-zero
+change from the half-open bins), so every :class:`IntervalSet` is a set
+of closed, pairwise disjoint, ascending intervals. When every piece is
+empty the prediction degenerates to a zero-width fallback point.
 """
 
 from __future__ import annotations
@@ -204,13 +207,37 @@ def union_widths(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def union_covered(
-    a: np.ndarray, b: np.ndarray, y: np.ndarray, fallback: np.ndarray
+    q_lo: np.ndarray,
+    q_hi: np.ndarray,
+    group: np.ndarray,
+    r_hat: np.ndarray,
+    bounds: np.ndarray,
+    bins: np.ndarray,
+    y: np.ndarray,
+    has_piece: np.ndarray,
+    fallback: np.ndarray,
 ) -> np.ndarray:
-    """Membership of ``y`` in the :func:`band_pieces` pair ``(a, b)``, as
-    :meth:`IntervalSet.contains`; records with no piece test the fallback.
-    A piece with ``a <= y <= b`` is non-empty, so it needs no test of its own."""
-    inside = ((a <= y) & (y <= b)).any(axis=0)
-    return np.where((b >= a).any(axis=0), inside, y == fallback)
+    """Membership of ``y`` in each record's union, as :meth:`IntervalSet.contains`.
+
+    ``bins`` holds each label's bin from :func:`~faircov.binning.bin_indices`
+    and ``has_piece`` the flag from :func:`union_widths`; a record with no
+    piece tests its fallback. Each label is tested in its own bin only:
+    the bin's bounds already hold it, so its piece there holds it exactly
+    when ``q_lo - r <= y <= q_hi + r`` with ``r = r_hat[bin, group]``. A
+    label on an interior cut is also the top of the piece in the bin
+    below, so it is tested there too. These are the comparisons the
+    :func:`band_pieces` pieces make, so the result is the same bit for
+    bit, at O(n) cost rather than O(n·M).
+    """
+    s_groups = r_hat.shape[1]
+    r = np.take(r_hat, bins * s_groups + group)  # a flat gather: faster than r_hat[bins, group]
+    inside = (q_lo - r <= y) & (y <= q_hi + r)
+    on_cut = np.flatnonzero(y == np.take(bounds, bins))
+    on_cut = on_cut[bins[on_cut] > 0]  # the domain's lower edge has no bin below
+    if on_cut.size:  # labels on a cut are rare; skip the gathers without one
+        r = np.take(r_hat, (bins[on_cut] - 1) * s_groups + group[on_cut])
+        inside[on_cut] |= (q_lo[on_cut] - r <= y[on_cut]) & (y[on_cut] <= q_hi[on_cut] + r)
+    return np.where(has_piece, inside, y == fallback)
 
 
 def union_components(

@@ -8,7 +8,9 @@ alone. :func:`evaluate` walks the test set once, with one interval-kernel
 call per block of records; ``faircov evaluate`` writes ``predictions.csv``
 from the same blocks' pieces in that same pass. The kernel writes every
 block's pieces into the same two ``(M, block)`` buffers, allocated once
-per call.
+per call. The test labels are binned once, before the walk: coverage
+tests each label in its own bin, and the report's (bin, group) cells
+read the same bins.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
     if writer is not None:
         writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
     bounds = np.asarray(partition.bounds)
+    bins = bin_indices(partition, test.y)
     covered = np.empty(test.n, dtype=bool)
     width = np.empty(test.n)
     has_piece = np.empty(test.n, dtype=bool)
@@ -200,9 +203,14 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
         a, b = band_pieces(
             q_lo[block], q_hi[block], test.group[block], r_hat, bounds, buffers[:, :, :size]
         )
-        covered[block] = union_covered(a, b, test.y[block], fallback[block])
-        if writer is not None:
-            count, start, end, merged_width = union_components(a, b)
+        components = union_components(a, b) if writer is not None else None
+        width[block], has_piece[block] = union_widths(a, b)  # after the components: it reuses b
+        covered[block] = union_covered(
+            q_lo[block], q_hi[block], test.group[block], r_hat, bounds,
+            bins[block], test.y[block], has_piece[block], fallback[block],
+        )
+        if components is not None:
+            count, start, end, merged_width = components
             pieces = _piece_texts(start, end)
             stops = np.cumsum(count).tolist()
             writer.writerows(
@@ -215,10 +223,9 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
                     map(repr, merged_width.tolist()),
                 )
             )
-        width[block], has_piece[block] = union_widths(a, b)  # last: it reuses b
 
     s_groups = test.group_count
-    cell = bin_indices(partition, test.y) * s_groups + test.group  # one key per (bin, group)
+    cell = bins * s_groups + test.group  # one key per (bin, group)
     bin_counts = np.bincount(cell, minlength=partition.m * s_groups).reshape(-1, s_groups)
     bin_hits = np.bincount(cell, weights=covered, minlength=bin_counts.size)  # exact: 0/1 sums
     bin_hits = bin_hits.reshape(-1, s_groups)

@@ -12,6 +12,7 @@ from faircov import (
     IntervalSet,
     ThresholdTable,
     ValidationError,
+    bin_indices,
     cqr_score,
     predict_interval,
 )
@@ -237,19 +238,28 @@ class TestVectorizedAgreement:
         data, _ = synthetic_with_band(120, (1.0, 2.0), seed=9)
         rng = np.random.default_rng(0)
         bounds = (0.0, 25.0, 40.0, 63.0)
+        # labels on both domain edges and on each interior cut, in both
+        # groups, with bands around them that a shift can pull off the
+        # label in one bin and not in the other
+        edges = np.repeat(bounds, 2)
+        q_lo = np.concatenate((data.q_lo, edges - 1.0))
+        q_hi = np.concatenate((data.q_hi, edges + 1.0))
+        y = np.concatenate((data.y, edges))
+        group = np.concatenate((data.group, np.tile([0, 1], len(bounds))))
         for trial in range(5):
             r = rng.uniform(-3.0, 3.0, size=(3, 2))
             t = table(r, bounds=bounds)
             lo, hi = t.partition.label_domain
-            fallback = np.clip((data.q_lo + data.q_hi) / 2.0, lo, hi)
-            a, b = band_pieces(data.q_lo, data.q_hi, data.group, t.r_hat, np.asarray(bounds))
-            covered = union_covered(a, b, data.y, fallback)
+            fallback = np.clip((q_lo + q_hi) / 2.0, lo, hi)
+            a, b = band_pieces(q_lo, q_hi, group, t.r_hat, np.asarray(bounds))
             widths, has_piece = union_widths(a, b)
-            for i in range(data.n):
-                iv = predict_interval(
-                    float(data.q_lo[i]), float(data.q_hi[i]), int(data.group[i]), t
-                )
-                assert covered[i] == iv.contains(float(data.y[i]))
+            bins = bin_indices(t.partition, y)
+            covered = union_covered(
+                q_lo, q_hi, group, t.r_hat, np.asarray(bounds), bins, y, has_piece, fallback
+            )
+            for i in range(y.size):
+                iv = predict_interval(float(q_lo[i]), float(q_hi[i]), int(group[i]), t)
+                assert covered[i] == iv.contains(float(y[i]))
                 assert has_piece[i] == bool(iv.components)
                 np.testing.assert_allclose(widths[i], iv.total_width(), rtol=1e-12, atol=0.0)
 

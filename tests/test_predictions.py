@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, metrics
-from faircov.binning import BinPartition
+from faircov.binning import BinPartition, bin_indices
 from faircov.conformal import band_columns
 from faircov.intervals import band_pieces, union_covered, union_widths
 from faircov.metrics import _resolve_band, evaluate, report_to_json
@@ -111,8 +111,8 @@ def reference_report(test, model, calibrator) -> str:
         patch.setattr(
             metrics,
             "union_covered",
-            lambda inputs, _, y, fallback: reference_union_covered(
-                *inputs[:2], y, *inputs[2:], fallback
+            lambda q_lo, q_hi, group, r_hat, bounds, bins, y, has_piece, fallback: (
+                reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback)
             ),
         )
         patch.setattr(metrics, "union_widths", lambda inputs, _: reference_union_widths(*inputs))
@@ -127,8 +127,10 @@ def write_predictions(path, test, model, calibrator):
 
 def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
     a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
-    covered = union_covered(a, b, y, fallback)
     width, has_piece = union_widths(a, b)
+    partition = BinPartition(bounds=tuple(bounds.tolist()), counts=(1,) * r_hat.shape[0])
+    bins = bin_indices(partition, y)
+    covered = union_covered(q_lo, q_hi, group, r_hat, bounds, bins, y, has_piece, fallback)
     want_width, want_has_piece = reference_union_widths(q_lo, q_hi, group, r_hat, bounds)
     want_covered = reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback)
     assert width.tobytes() == want_width.tobytes()
@@ -139,7 +141,8 @@ def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
 
 def adversarial_records():
     """Bands that touch bin bounds, collapse to points or leave the domain,
-    crossed with labels on and next to the bounds."""
+    crossed with labels on and next to the bounds: on both domain edges,
+    on each interior cut and one ulp either side of one."""
     bands = [
         (1.0, 3.0),  # spans the bound at 2
         (2.0, 2.0),  # a point on a bound
@@ -152,7 +155,7 @@ def adversarial_records():
         (0.3, 9.9),
         (2.0, 5.0),  # exactly one bin
     ]
-    labels = [0.0, 2.0, 5.0, 10.0, 2.0000000000000004, 4.9, 0.7]
+    labels = [0.0, 2.0, 5.0, 10.0, 2.0000000000000004, 1.9999999999999998, 4.9, 0.7]
     rows = list(itertools.product(bands, (0, 1), labels))
     q_lo = [lo for (lo, _), _, _ in rows]
     q_hi = [hi for (_, hi), _, _ in rows]
@@ -230,14 +233,14 @@ def test_one_kernel_pass_matches_two(name, model):
 @pytest.mark.parametrize("drop", [0, 2])
 @pytest.mark.parametrize("name, model", CASES)
 def test_artifacts_do_not_depend_on_the_block(tmp_path, name, model, drop):
-    # all 140 adversarial records fill blocks of 7; without the last two,
-    # the last block of 7 is short
+    # all 160 adversarial records fill blocks of 8; without the last two,
+    # the last block of 8 is short
     calibrator = CALIBRATORS[name]
     test = adversarial_records()
     test = test.subset(np.arange(test.n - drop))
-    assert (test.n % 7 == 0) == (drop == 0)
+    assert (test.n % 8 == 0) == (drop == 0)
     artifacts = set()
-    for block in (1, 7, 4096):
+    for block in (1, 8, 4096):
         path = tmp_path / f"predictions_{block}.csv"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_BLOCK", block)
