@@ -52,6 +52,8 @@ class GlobalThreshold:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_cal < 1:
             raise ValidationError("calibration size must be positive")
+        if not np.isfinite(self.r_hat):
+            raise ValidationError(f"calibrated shift must be finite, got {self.r_hat}")
 
     def to_json(self) -> str:
         payload = {

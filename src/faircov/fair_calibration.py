@@ -18,14 +18,14 @@ of that entry. Moving to the adjacent order statistic is exactly "cover
 one fewer (or one more) sample". Cells covering at most one record are
 never drained further, which keeps every exchange width-bounded.
 
-A group's moves depend only on its own cells, so the moves that lift
-an under-covered group are taken in runs: a run builds each of its
-donors' and recipients' greedy moves at once in numpy as a move stream,
-merges the streams by their group means, adds the moves to the covered
-counts and drops the streams. A donor whose stream has run out sits
-out, and once no donor can give, the recipients take lone adds in the
-same run. Single moves, picked from the slope tables read off the
-counts, remain for the lone drops and the width cleanup.
+A group's moves depend only on its own cells, so the exchange loop
+takes every move in runs: a run builds each of its donors' and
+recipients' greedy moves at once in numpy as a move stream, merges the
+streams by their group means, adds the moves to the covered counts and
+drops the streams. A donor whose stream has run out sits out. Once no
+donor can give, the recipients take lone adds in the same run; a run
+with no recipients takes the donors' lone drops. Single moves, picked
+from the slope tables read off the counts, remain for the width cleanup.
 
 A group's mean is its bins' coverage rates added in bin order, then
 divided by M: numpy's axis-0 reduction of the C-ordered (M, S) rates
@@ -479,20 +479,21 @@ def eoc_optimize(
     no group above its window can give (each of its cells covers at
     most one sample, or only tied ones), the recipient takes a lone
     add, which only adds coverage. Once no group is below the target,
-    lone drops from the most over-covered group follow, taken only
-    while the pooled covered count stays at or above its floor of
-    ``ceil(n * (1 - alpha))``. A drop uncovers one sample; an add covers
-    one, or several when the newly covered score ties the next ones.
+    lone drops follow, each from the highest group above its window
+    that can still give, taken only while the pooled covered count
+    stays at or above its floor of ``ceil(n * (1 - alpha))``. A drop
+    uncovers one sample; an add covers one, or several when the newly
+    covered score ties the next ones.
 
     Terminates ``converged`` when every group parks inside the one-sided
     window ``[1 - alpha, 1 - alpha + stop]`` with ``stop`` one move
     quantum (one sample of the group's smallest cell, averaged over
     bins), which keeps it inside the documented tolerance band;
-    ``slope_crossover`` when a lone drop cannot move: the most
-    over-covered group's best decrease slope is at most 0.0, or the drop
-    would take the pooled covered count below its floor. Both exits
-    leave every group at or above the target and the pooled count at or
-    above its floor. ``max_iters`` at the iteration cap, returning the
+    ``slope_crossover`` when no lone drop can move: no group above its
+    window has a positive decrease slope, or a drop would take the
+    pooled covered count below its floor. Both exits leave every group
+    at or above the target and the pooled count at or above its floor.
+    ``max_iters`` at the iteration cap, returning the
     table reached so far, which may miss a floor, also when the cap cuts
     the width cleanup short while a pass still has a move to make (a
     cleanup that ends on its own exactly at the cap is ``converged``).
@@ -503,8 +504,8 @@ def eoc_optimize(
     iterating, each cell's count is that of its seed threshold, and every
     threshold is re-expressed on the covering order statistic of its
     cell, which releases pure slack as width without touching coverage.
-    Every phase then takes the moves two slope tables pick: the width
-    saved by dropping each cell's top covered sample (``-inf`` where
+    The cleanup takes the moves two slope tables pick: the width saved
+    by dropping each cell's top covered sample (``-inf`` where
     fewer than two are covered) and the width paid by covering its next
     one (``+inf`` where the cell is full). The thresholds, both slope
     tables and the group means are read off ``k``. Each cell's seed
@@ -527,10 +528,10 @@ def eoc_optimize(
     drop covers exactly one sample fewer, and an add exactly one more
     unless the newly covered score ties the next ones.
 
-    The moves that lift a group below the target are taken in runs. A
-    group's moves depend only on its own cells, so a run builds each
-    donor's greedy drops (and each recipient's adds) as a stream: each
-    cell's order-statistic spacings, read from the covering one
+    The exchange loop takes its moves in runs. A group's moves depend
+    only on its own cells, so a run builds each donor's greedy drops
+    (and each recipient's adds) as a stream: each cell's
+    order-statistic spacings, read from the covering one
     outwards, stably sorted by their running minimum (maximum for adds),
     which is the order a first-of-equal pick over the slope table takes
     them in. A cumsum of the stream's covered counts gives the group
@@ -540,12 +541,14 @@ def eoc_optimize(
     recipients' sorted ascending, ties to the lower group, then the
     earlier move. A donor gives picks only while its stream has moves;
     once the donor picks run out, the remaining recipient picks are lone
-    adds. The run's block of trace rows is written from those arrays,
-    the run adds its moves to ``k`` and drops its streams. A run starts
-    whenever some group is below the target, and ends after an add that
-    carries its group past its window, as the group may donate next.
-    The lone drops and the cleanup are single moves, each written as a
-    one-row block.
+    adds. With no group below the target, a run has no recipients and
+    its donor picks are lone drops, at most as many as the pooled count
+    exceeds its floor. The run's block of trace rows is written from
+    those arrays, the run adds its moves to ``k`` and drops its streams.
+    A run ends after an add that carries its group past its window, as
+    the group may donate next. The loop stops ``slope_crossover`` at the
+    first run that takes no move. The cleanup's moves are single moves,
+    each written as a one-row block.
 
     A group mean adds its bins' rates in bin order, in a single move and
     in a stream alike. The means decide tie breaks and go into the trace,
@@ -577,10 +580,9 @@ def eoc_optimize(
     spacing = np.diff(flat) / np.repeat(counts.ravel(), counts.ravel() + 1)
     groups = range(s_groups)
 
-    def drops(c=slice(None)) -> np.ndarray:
-        # the decrease slopes of the cells in columns c
-        kc = k[:, c]
-        return np.where(kc >= 2, spacing[first[:, c] + kc - 1], -np.inf)
+    def drops() -> np.ndarray:
+        # the decrease slopes of every cell
+        return np.where(k >= 2, spacing[first + k - 1], -np.inf)
 
     def adds() -> np.ndarray:
         # the increase slopes of every cell
@@ -617,23 +619,26 @@ def eoc_optimize(
         start = first[m, s] + 1
         k[m, s] = _covered_count(flat[start : start + counts[m, s]], new)
 
-    def run(over: list[int], under: list[int]) -> None:
-        # Takes the moves that lift the groups in ``under`` as one run.
-        # Donors only fall and recipients only rise, so the picks are the
-        # donors' before-move means sorted descending and the recipients'
-        # sorted ascending, ties to the lower group, then the earlier
-        # move. A donor gives only while its drop stream has moves; the
-        # recipient picks past the donors' are lone adds, whose absent
-        # donor side is group -1, bin 0 and a NaN slope. A run stops
-        # after an add that carries its group past its window; a
-        # recipient fills up only at mean 1, above its window. The run's
-        # streams are built from the counts it starts on and dropped at
-        # its end.
+    def run(over: list[int], under: list[int]) -> int:
+        # Takes the moves that lift the groups in ``under`` as one run, or,
+        # with no recipients, the donors' lone drops down to the pooled
+        # floor; returns how many moves it took. Donors only fall and
+        # recipients only rise, so the picks are the donors' before-move
+        # means sorted descending and the recipients' sorted ascending, ties
+        # to the lower group, then the earlier move. A donor gives only
+        # while its drop stream has moves. An absent side (a lone add's
+        # donor, a lone drop's recipient) is group -1, bin 0 and a NaN
+        # slope. A run stops after an add that carries its group past its
+        # window; a recipient fills up only at mean 1, above its window.
+        # The run's streams are built from the counts it starts on and
+        # dropped at its end.
         nonlocal mu, steps
         budget = max_iters - steps
+        if not under:  # each lone drop uncovers one sample
+            budget = max(0, min(budget, int(k.sum()) - k_floor))
         streams, sides = {}, []
         for groups_, sign in ((over, -1), (under, 1)):
-            mus, gs, ts = [np.empty(0)], [np.empty(0, int)], [np.empty(0, int)]  # none if no donor
+            mus, gs, ts = [np.empty(0)], [np.empty(0, int)], [np.empty(0, int)]  # none if no group
             for s in groups_:
                 st = streams[s] = _MoveStream(flat, first[:, s], counts[:, s], k[:, s], sign < 0)
                 if sign < 0:
@@ -647,25 +652,27 @@ def eoc_optimize(
             order = np.lexsort((ts, gs, sign * mus))[:budget]
             sides.append((gs[order], ts[order]))
         (g1, t1), (g2, t2) = sides
-        n, paired = g2.size, min(g1.size, g2.size)
-        g1 = np.concatenate((g1[:paired], np.full(n - paired, -1)))
+        n = g2.size if under else g1.size
+        g1 = g1[:n]
         block = np.empty((n, 6 + s_groups))  # the run's rows of the trace
-        block[:, 0], block[:, 1] = g1, g2
-        block[:, 2], block[:, 4] = 0, np.nan  # a lone add's absent donor side
-        rise = np.empty(n)  # the mover's mean after each move; recipients' last
-        for g, t, side in ((g1[:paired], t1, 0), (g2, t2, 1)):
+        block[:, 2:4], block[:, 4:6] = 0, np.nan  # an absent side
+        rise = np.empty(g2.size)  # each recipient's mean after its move
+        for g, t, side in ((g1, t1, 0), (g2, t2, 1)):
             for s in set(g.tolist()):
                 st, mine = streams[s], np.flatnonzero(g == s)
                 block[mine, 2 + side] = st.bins[t[mine]] + 1
                 block[mine, 4 + side] = st.slopes[t[mine]]
-                rise[mine] = st.mu[t[mine] + 1]
+                if side:
+                    rise[mine] = st.mu[t[mine] + 1]
         # Stop after an add that carries its group past its window. A drop
         # cannot carry its donor under the target: the window is at least
         # one move wide.
         crossed = np.flatnonzero(rise - level > np.asarray(slack)[g2])
         if crossed.size:
             n = int(crossed[0]) + 1
-            block, g1, g2 = block[:n], g1[:n], g2[:n]
+            block = block[:n]
+        g1, g2 = (np.concatenate((g, np.full(n, -1)))[:n] for g in (g1, g2))
+        block[:, 0], block[:, 1] = g1, g2
         after = block[:, 6:]
         after[:] = mu  # a waiting group keeps its current mean
         for g in (g1, g2):
@@ -677,44 +684,32 @@ def eoc_optimize(
         mu = means()
         blocks.append(block)
         steps += n
+        return n
 
     steps = 0
     blocks = [np.empty((0, 6 + s_groups))]  # the trace so far, as (moves, 6 + S) blocks
     mu = means()
 
     def record(s1, s2, m1, m2, d_slope, i_slope) -> None:
-        # the group means after the move, which the next move starts from
+        # the group means after the move, which the next move starts from;
+        # a trim's absent recipient is group -1 and bin -1, written as 0
         nonlocal mu, steps
         mu = means()
-        b1, b2 = m1 + 1 if s1 >= 0 else 0, m2 + 1 if s2 >= 0 else 0
-        blocks.append(np.array([(s1, s2, b1, b2, d_slope, i_slope, *mu)], dtype=np.float64))
+        blocks.append(np.array([(s1, s2, m1 + 1, m2 + 1, d_slope, i_slope, *mu)], dtype=np.float64))
         steps += 1
 
-    # max keeps the first of equal candidates, so ties go to the lowest
-    # group, and argmax to the lowest bin.
     slack = (stop + eps).tolist()
     floor = level - eps
     reason: str | None = None
     while steps < max_iters:
         over = [s for s in groups if mu[s] - level > slack[s]]
         under = [s for s in groups if mu[s] < floor]
-        if under:
-            run(over, under)
-            continue
-        if not over:
+        if not (over or under):
             reason = CONVERGED
             break
-        # every group at or above level: a lone drop from the most
-        # over-covered group, if it can move and keeps the pooled covered
-        # count at or above its floor
-        s1 = max(groups, key=mu.__getitem__)
-        dec = drops(s1)
-        m1 = int(dec.argmax())
-        if dec[m1] <= 0.0 or k.sum() - 1 < k_floor:
+        if not run(over, under):
             reason = SLOPE_CROSSOVER
             break
-        shift(m1, s1, -1)
-        record(s1, -1, m1, 0, dec[m1], math.nan)
     if reason is None:
         reason = MAX_ITERS
 
@@ -749,7 +744,7 @@ def eoc_optimize(
                     break
                 shift(m1, s1, -1)
                 progress = True
-                record(s1, -1, m1, 0, gain[m1, s1], math.nan)
+                record(s1, -1, m1, -1, gain[m1, s1], math.nan)
 
             while reason == CONVERGED:
                 # rows: the donor cell, columns: the recipient cell

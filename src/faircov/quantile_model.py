@@ -130,6 +130,8 @@ class QuantileModel:
         object.__setattr__(self, "bias", b)
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != len(self.levels) or b.shape[0] != len(self.levels):
             raise ValidationError("model weights and bias must match the level count")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValidationError("model weights and bias must be finite")
 
     @property
     def feature_dim(self) -> int:

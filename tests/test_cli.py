@@ -4,6 +4,7 @@ import argparse
 import collections
 import csv
 import json
+import math
 import os
 import sys
 
@@ -535,6 +536,31 @@ class TestMalformedArtifacts:
         payload["bounds"] = 5
         message = self.evaluate_with(pipeline, tmp_path, capsys, payload)
         assert "malformed calibrator file" in message
+
+    def test_calibrator_with_a_nan_shift(self, pipeline, tmp_path, capsys):
+        payload = {"method": "cqr", "alpha": 0.1, "r_hat": math.nan, "n_cal": 100}
+        message = self.evaluate_with(pipeline, tmp_path, capsys, payload)
+        assert "malformed calibrator file" in message
+        assert "shift must be finite" in message
+
+    def test_model_with_a_nan_bias(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline, "model.json")) as fh:
+            payload = json.load(fh)
+        payload["bias"][0] = math.nan
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        message = self.run_json_errors(
+            [
+                "evaluate",
+                "--out-dir", str(tmp_path / "out"),
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--model", str(path),
+                "--calibrator", os.path.join(pipeline, "calibrator.json"),
+            ],
+            capsys,
+        )
+        assert "malformed model file" in message
+        assert "must be finite" in message
 
     def test_model_that_is_a_list(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"

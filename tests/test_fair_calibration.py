@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faircov import (
@@ -608,6 +608,19 @@ def tie_locked():
     return point_band_dataset([(1.0,) * 6, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)])
 
 
+def locked_top_group():
+    # All three groups cover everything, above their 0.9833 window top.
+    # Group 0 is the first of the equal means and drops once; group 1's
+    # covered scores tie at the top of each cell, so it cannot give, and
+    # group 2 drops next.
+    return calibration_set(1, 3, 37, ties=True), 2, 0.1
+
+
+def can_give(cells, k, s):
+    """Whether group ``s`` has a positive decrease slope at counts ``k``."""
+    return any(km >= 2 and _dec_slope(cells.cells[m][s], km) > 0.0 for m, km in enumerate(k[:, s]))
+
+
 @st.composite
 def calibration_cases(draw, groups=(2, 5), min_cell=1):
     s_groups = draw(st.integers(*groups))
@@ -753,6 +766,23 @@ class TestOptimizerMatchesReference:
         assert state.per_group_mean[1] == mu0[1]
         assert np.all(state.per_group_mean >= 0.5 - 1e-12)
 
+    def test_locked_top_group_does_not_end_the_lone_drops(self):
+        data, m_bins, alpha = locked_top_group()
+        table0, state0 = seeded(data, m_bins, alpha)
+        k0 = state0.cells.covered(table0.r_hat)
+        assert state0.per_group_mean.tolist() == [1.0, 1.0, 1.0]
+        assert [can_give(state0.cells, k0, s) for s in range(3)] == [True, False, True]
+        trace, kinds = self.assert_same(data, m_bins, alpha)
+        assert trace.termination_reason == SLOPE_CROSSOVER
+        assert kinds == ["lone_drop", "lone_drop"]
+        assert trace.donor_group.tolist() == [0, 2]
+        table, _ = eoc_optimize(data, None, table0, state0)
+        # a single drop from group 0 alone leaves 2.5503
+        assert calibration_objective(data, None, table) == pytest.approx(2.2595, abs=1e-4)
+        state = measure_coverage(data, None, table)
+        assert np.all(state.per_group_mean >= 0.9 - 1e-12)
+        assert state.cells.covered(table.r_hat).sum() == 35  # floor: 34
+
     def test_drained_donor_sits_out(self):
         # group 3 gives until each of its cells covers one sample, while
         # it is still above its window; it sits out, and group 2 reaches
@@ -817,6 +847,7 @@ class TestOptimizerProperties:
     # one sample sits out, and the recipient takes lone adds (see
     # test_exhausted_donor_does_not_strand_the_recipient).
     @given(calibration_cases(min_cell=1))
+    @example(locked_top_group())
     def test_every_finished_exit_meets_the_floors(self, case):
         data, m_bins, alpha = case
         table, trace = fair_calibrate(data, None, m_bins, alpha)
@@ -824,8 +855,17 @@ class TestOptimizerProperties:
             return
         state = measure_coverage(data, None, table)
         assert np.all(state.per_group_mean >= (1.0 - alpha) - 1e-12)
-        covered = int(np.rint(state.beta * state.cell_counts).sum())
-        assert covered >= math.ceil(data.n * (1.0 - alpha) - 1e-9)
+        k = state.cells.covered(table.r_hat)
+        k_floor = math.ceil(data.n * (1.0 - alpha) - 1e-9)
+        assert k.sum() >= k_floor
+        if trace.termination_reason == SLOPE_CROSSOVER and k.sum() > k_floor:
+            # above the pooled floor, the lone drops stop only when no group
+            # above its window can give; the means are added as the
+            # optimizer adds them
+            counts = state.cell_counts
+            mu = np.add.reduce(k / counts, axis=0) / m_bins
+            over = mu - (1.0 - alpha) > 1.0 / (m_bins * counts.min(axis=0)) + 1e-12
+            assert not any(can_give(state.cells, k, s) for s in np.flatnonzero(over))
 
     @given(calibration_cases(), st.randoms(use_true_random=False))
     def test_record_order_does_not_matter(self, case, rnd):
@@ -1012,24 +1052,22 @@ def _reference_eoc_optimize(
         mu = group_means()
         over_band = (mu - level) > stop + eps
         under = mu < level - eps
-        if bool(under.any()):
-            # the highest over-window group that can still give donates;
-            # when none can, the recipient takes a lone add
-            donors = [s for s in range(s_groups) if over_band[s] and best_drop(s)[0] > 0.0]
-            s1 = max(donors, key=lambda s: mu[s]) if donors else -1
-            s2 = int(np.argmin(np.where(under, mu, np.inf)))
-        elif bool(over_band.any()):
-            s1, s2 = int(np.argmax(mu)), -1  # every group at or above level
-        else:
+        if not (over_band.any() or under.any()):
             reason = CONVERGED
+            break
+        # the highest over-window group that can still give donates, to the
+        # lowest group under the target or, when every group is at or above
+        # it, as a lone drop; when no donor can, the recipient takes a lone add
+        donors = [s for s in range(s_groups) if over_band[s] and best_drop(s)[0] > 0.0]
+        s1 = max(donors, key=lambda s: mu[s]) if donors else -1
+        s2 = int(np.argmin(np.where(under, mu, np.inf))) if under.any() else -1
+        if s2 < 0 and (s1 < 0 or int(k.sum()) - 1 < k_floor):
+            # no lone drop can move, or one would take the pooled covered
+            # count below its floor
+            reason = SLOPE_CROSSOVER
             break
 
         best_dec, m1 = best_drop(s1) if s1 >= 0 else (np.nan, -1)
-        if s2 < 0 and (best_dec <= 0.0 or int(k.sum()) - 1 < k_floor):
-            # a lone drop that cannot move, or that would take the pooled
-            # covered count below its floor
-            reason = SLOPE_CROSSOVER
-            break
         best_inc, m2 = np.inf, -1
         if s2 >= 0:
             for m in range(m_bins):
