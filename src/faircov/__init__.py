@@ -9,7 +9,7 @@ controlling total interval width.
 
 __version__ = "0.1.0"
 
-from .binning import BinPartition, assign_bin, bin_indices, equal_mass_bins
+from .binning import BinPartition, bin_indices, equal_mass_bins
 from .conformal import (
     GlobalThreshold,
     cqr_calibrate,
@@ -69,7 +69,6 @@ __all__ = [
     "SyntheticSpec",
     "ThresholdTable",
     "ValidationError",
-    "assign_bin",
     "bin_indices",
     "brute_force_oracle",
     "calibration_objective",

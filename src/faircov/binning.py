@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ValidationError
 
-__all__ = ["BinPartition", "equal_mass_bins", "assign_bin", "bin_indices"]
+__all__ = ["BinPartition", "equal_mass_bins", "bin_indices"]
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,3 @@ def bin_indices(partition: BinPartition, labels) -> np.ndarray:
     for cut in partition.bounds[1:-1]:
         index += np.greater_equal(y, cut, out=above)
     return index.astype(np.int64)
-
-
-def assign_bin(partition: BinPartition, y: float) -> int:
-    """Bin number in 1..M for a label; the top bin is closed above."""
-    return int(bin_indices(partition, np.asarray([y]))[0]) + 1

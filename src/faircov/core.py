@@ -66,14 +66,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_id(raw: str, row: int) -> None:
+    if "\x00" in raw:
+        raise ValidationError(f"id {raw!r} at row {row} contains a NUL character")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column-oriented dataset.
 
     Parameters
     ----------
-    ids : tuple of str
-        Stable record identifiers, one per row.
+    ids : ndarray of str
+        Stable record identifiers, one per row, held as one read-only
+        numpy ``str`` array as wide as the longest id: 4 bytes per
+        character of that id, for every row. An id must not contain NUL:
+        numpy drops it from the end of a string, so ids given as Python
+        strings are checked for it.
     y : ndarray
         Labels, finite, inside ``label_domain``.
     group : ndarray
@@ -88,7 +97,7 @@ class Dataset:
         Feature matrix of shape (n, d); d may be zero.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     y: np.ndarray
     group: np.ndarray
     label_domain: tuple[float, float]
@@ -98,12 +107,17 @@ class Dataset:
     features: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.ids, np.ndarray) and "\x00" in "".join(self.ids):
+            for row, raw in enumerate(self.ids):
+                _check_id(raw, row)
+        ids = _readonly(np.asarray(self.ids, dtype=str))
         y = _readonly(np.asarray(self.y, dtype=np.float64))
         group = _readonly(np.asarray(self.group, dtype=np.int64))
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "group", group)
         n = y.shape[0]
-        if len(self.ids) != n or group.shape[0] != n:
+        if ids.shape != (n,) or group.shape[0] != n:
             raise ValidationError("ids, y, and group must have equal length")
         lo, hi = self.label_domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -155,7 +169,7 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(
-            ids=tuple(self.ids[i] for i in idx),
+            ids=self.ids[idx],
             y=self.y[idx],
             group=self.group[idx],
             label_domain=self.label_domain,
@@ -190,7 +204,7 @@ def _parse_float(raw: str, column: str, row: int) -> float:
 
 
 # Rows per parsed block: only one block's field strings are alive at a
-# time (the ids are kept), not the whole file's.
+# time, not the whole file's.
 _READ_BLOCK = 4096
 _DTYPES = {float: np.float64, int: np.int64}
 
@@ -206,7 +220,9 @@ def _check_rows(rows, first_row: int, width: int, fields) -> None:
         for name, j, parse in fields:
             if j >= len(row):
                 raise ValidationError(f"row {row_no} has {len(row)} fields; the header has {width}")
-            if parse is float:
+            if parse is str:
+                _check_id(row[j], row_no)
+            elif parse is float:
                 _parse_float(row[j], name, row_no)
             elif parse is int:
                 try:
@@ -267,27 +283,31 @@ def load_dataset(
         fields = [(names[key], index[names[key]], int if key == "group" else float) for key in parsed]
         fields += [(name, index[name], float) for _, name in feat_cols]
         id_field = (names["id"], index[names["id"]], str)
-        ids: list[str] = []
         blocks: list[list[np.ndarray]] = []
         rows = filter(None, reader)  # csv yields [] for a blank line
         first_row = 1
         while block := list(itertools.islice(rows, _READ_BLOCK)):
             columns = list(zip(*block))  # as many columns as the shortest row
             try:
+                ids = columns[id_field[1]]
+                if "\x00" in "".join(ids):
+                    raise ValueError("an id holds a NUL")  # the rescan names its row
                 blocks.append(
                     [
-                        np.fromiter(map(parse, columns[j]), _DTYPES[parse], len(block))
-                        for _, j, parse in fields
+                        np.asarray(ids, dtype=str),
+                        *(
+                            np.fromiter(map(parse, columns[j]), _DTYPES[parse], len(block))
+                            for _, j, parse in fields
+                        ),
                     ]
                 )
-                ids.extend(columns[id_field[1]])
             except (IndexError, ValueError, OverflowError):
                 _check_rows(block, first_row, len(header), [*fields, id_field])
                 raise
             first_row += len(block)
-    if not ids:
+    if not blocks:
         raise ValidationError(f"empty dataset: {path!r} has a header but no rows")
-    ys, garr, *rest = (np.concatenate(column) for column in zip(*blocks))
+    ids, ys, garr, *rest = (np.concatenate(column) for column in zip(*blocks))
     qlo = qhi = None
     if has_q:
         a, b, *rest = rest
@@ -302,7 +322,7 @@ def load_dataset(
     if missing:
         raise ValidationError(f"group ids must be dense: no records for group(s) {missing}")
     return Dataset(
-        ids=tuple(ids),
+        ids=ids,
         y=ys,
         group=garr,
         label_domain=(float(label_domain[0]), float(label_domain[1])),
@@ -320,7 +340,7 @@ def write_dataset(dataset: Dataset, path: str) -> None:
         header += ["q_lo", "q_hi"]
     header += [f"x{j}" for j in range(dataset.feature_dim)]
     # columns as Python floats and ints: repr of each is the text of the numpy value
-    columns = [dataset.ids, map(repr, dataset.y.tolist()), dataset.group.tolist()]
+    columns = [dataset.ids.tolist(), map(repr, dataset.y.tolist()), dataset.group.tolist()]
     if dataset.q_lo is not None:
         columns += [map(repr, dataset.q_lo.tolist()), map(repr, dataset.q_hi.tolist())]
     if dataset.features is not None:

@@ -215,7 +215,7 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
             stops = np.cumsum(count).tolist()
             writer.writerows(
                 zip(
-                    test.ids[block],
+                    test.ids[block].tolist(),
                     test.group[block].tolist(),
                     [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
                     ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],

@@ -385,8 +385,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     eps = rng.standard_normal(spec.n) * scales
     lo, hi = spec.label_domain
     y = np.clip(intercept + x @ w + eps, lo, hi)
+    # "s%06d", built at its final width: astype(str) would pass through <U21
+    digits = np.arange(spec.n).astype(f"U{len(str(spec.n - 1))}")
+    ids = np.char.add("s", np.char.zfill(digits, 6))
     return Dataset(
-        ids=tuple(f"s{i:06d}" for i in range(spec.n)),
+        ids=ids,
         y=y,
         group=groups.astype(np.int64),
         label_domain=(float(lo), float(hi)),

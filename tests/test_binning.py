@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from faircov import BinPartition, ValidationError, assign_bin, bin_indices, equal_mass_bins
+from faircov import BinPartition, ValidationError, bin_indices, equal_mass_bins
 
 
 def assert_counts_cuts(part, labels):
@@ -138,31 +138,27 @@ class TestBinIndices:
 
 
 class TestAssignBin:
+    """One label's 0-based bin from ``bin_indices``; the top bin is closed above."""
+
     def part(self):
         return equal_mass_bins(np.arange(1.0, 9.0), 2, (0.0, 10.0))
 
     def test_cut_belongs_to_upper_bin(self):
-        assert assign_bin(self.part(), 4.5) == 2
+        assert bin_indices(self.part(), [4.5]).tolist() == [1]
 
     def test_top_edge_belongs_to_last_bin(self):
-        assert assign_bin(self.part(), 10.0) == 2
+        assert bin_indices(self.part(), [10.0]).tolist() == [1]
 
     def test_bottom_edge_belongs_to_first_bin(self):
-        assert assign_bin(self.part(), 0.0) == 1
+        assert bin_indices(self.part(), [0.0]).tolist() == [0]
 
     def test_outside_domain_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
-            assign_bin(self.part(), -1.0)
+            bin_indices(self.part(), [-1.0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
-            assign_bin(self.part(), float("nan"))
-
-    @given(st.one_of(st.sampled_from([0.0, 4.5, 10.0]), st.floats(0.0, 10.0)))
-    def test_agrees_with_vectorized_indices(self, y):
-        part = self.part()
-        assert assign_bin(part, y) == int(bin_indices(part, [y])[0]) + 1
-        assert_counts_cuts(part, [y])
+            bin_indices(self.part(), [float("nan")])
 
 
 class TestBinPartitionValidation:

@@ -3,6 +3,8 @@
 import csv
 import importlib
 import pkgutil
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -99,7 +101,7 @@ class TestDatasetValidation:
         d = make_dataset([1.0, 2.0, 3.0], [0, 1, 0], q_lo=[0, 1, 2], q_hi=[2, 3, 4])
         sub = d.subset(np.array([2, 0]))
         assert sub.n == 2
-        assert sub.ids == ("r2", "r0")
+        assert sub.ids.tolist() == ["r2", "r0"]
         assert sub.group_count == d.group_count
         assert sub.label_domain == d.label_domain
         np.testing.assert_array_equal(sub.y, [3.0, 1.0])
@@ -117,7 +119,7 @@ class TestLoadDataset:
         d = load_dataset(path, (0.0, 10.0))
         assert d.n == 4
         assert d.group_count == 2
-        assert d.ids == ("a", "b", "c", "d")  # file order preserved
+        assert d.ids.tolist() == ["a", "b", "c", "d"]  # file order preserved
 
     def test_unknown_group_vs_declared_count(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a,1,0", "b,2,5"])
@@ -238,7 +240,7 @@ def outcome(loader, path, **kwargs):
     except ValidationError as exc:
         return type(exc).__name__, str(exc)
     arrays = (d.y, d.group, d.q_lo, d.q_hi, d.features)
-    return d.ids, d.group_count, [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+    return tuple(d.ids.tolist()), d.group_count, [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
 
 def assert_loaders_agree(path, **kwargs):
@@ -414,6 +416,64 @@ class TestRoundTrip:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+# Ids that csv must quote or that numpy must widen for: commas, quotes,
+# CR/LF, non-ASCII text, empty strings, lengths from 0 to 40.
+AWKWARD_IDS = ["", ",", '"', 'a ""b""', "\r", "\n", "\r\n", "x,\ny", "é", "日本語", "\U0001f600", "z" * 40]
+ID_TEXT = st.one_of(
+    st.sampled_from(AWKWARD_IDS),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=40),
+)
+
+
+class TestIds:
+    def test_read_only_str_array_as_wide_as_the_longest_id(self):
+        d = Dataset(ids=("a", "bcd"), y=[1.0, 2.0], group=[0, 0], label_domain=(0.0, 10.0), group_count=1)
+        assert d.ids.dtype == np.dtype("<U3")
+        assert d.subset(np.array([0])).ids.dtype == np.dtype("<U3")
+        with pytest.raises(ValueError):
+            d.ids[0] = "b"
+
+    @pytest.mark.parametrize("bad", ["a\x00", "a\x00b", "\x00"])
+    def test_nul_rejected_by_dataset(self, bad):
+        message = f"id {bad!r} at row 1 contains a NUL character"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(ids=("a", bad), y=[1.0, 2.0], group=[0, 0], label_domain=(0.0, 10.0), group_count=1)
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_nul_rejected_by_load(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(core, "_READ_BLOCK", block)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,y,group\na,1,0\nb\x00,2,1\nc,x,0\n")
+        if sys.version_info >= (3, 11):
+            error, message = ValidationError, r"^id 'b\\x00' at row 2 contains a NUL character$"
+        else:  # before 3.11 the csv module refuses a NUL itself
+            error, message = csv.Error, "NUL"
+        with pytest.raises(error, match=message):
+            load_dataset(str(path), (0.0, 10.0))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv refuses a NUL before Python 3.11")
+    def test_a_bad_label_before_a_nul_id_in_the_same_row_comes_first(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,y,group\na,1,0\nb\x00,x,1\n")
+        with pytest.raises(ValidationError, match="non-numeric value 'x' in column 'y' at row 2"):
+            load_dataset(str(path), (0.0, 10.0))
+
+    @given(ids=st.lists(ID_TEXT, min_size=1, max_size=12), block=st.integers(1, 4))
+    def test_round_trip(self, tmp_path_factory, ids, block):
+        folder = tmp_path_factory.mktemp("ids")
+        n = len(ids)
+        d = Dataset(ids=ids, y=np.arange(n) * 0.5, group=np.zeros(n), label_domain=(0.0, 10.0), group_count=1)
+        write_dataset(d, str(folder / "got.csv"))
+        with open(folder / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "y", "group"])
+            writer.writerows([i, repr(k * 0.5), 0] for k, i in enumerate(ids))
+        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_READ_BLOCK", block)
+            assert load_dataset(str(folder / "got.csv"), (0.0, 10.0)).ids.tolist() == ids
+
+
 class TestSplitDataset:
     def test_sizes_from_fractions(self):
         d = make_dataset(np.arange(10) * 0.5, [0] * 10)
@@ -423,8 +483,8 @@ class TestSplitDataset:
     def test_determinism(self):
         d = make_dataset(np.arange(10) * 0.5, [0] * 10)
         spec = SplitSpec(fractions=(0.6, 0.2, 0.2), seed=7)
-        first = [p.ids for p in split_dataset(d, spec)]
-        second = [p.ids for p in split_dataset(d, spec)]
+        first = [p.ids.tolist() for p in split_dataset(d, spec)]
+        second = [p.ids.tolist() for p in split_dataset(d, spec)]
         assert first == second
 
     def test_disjoint_union(self):

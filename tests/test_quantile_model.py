@@ -323,6 +323,21 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.group, b.group)
         np.testing.assert_array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("n", [1, 10, 11, 1_000_001])
+    def test_ids_are_s_and_six_digits(self, n):
+        spec = SyntheticSpec(
+            n=n,
+            group_probs=(1.0,),
+            feature_dim=0,
+            noise_scale_per_group=(1.0,),
+            label_domain=(0.0, 10.0),
+            seed=0,
+        )
+        ids = generate_synthetic(spec).ids
+        want = [f"s{i:06d}" for i in range(n)]
+        assert ids.dtype == np.dtype(f"<U{len(want[-1])}")
+        assert ids.tolist() == want
+
     def test_labels_clipped_to_domain(self):
         spec = SyntheticSpec(
             n=2000,
