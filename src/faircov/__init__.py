@@ -50,7 +50,6 @@ from .quantile_model import (
     generate_synthetic,
     pinball_grad,
     pinball_loss,
-    predict,
 )
 
 __all__ = [
@@ -90,7 +89,6 @@ __all__ = [
     "picp_gap",
     "pinball_grad",
     "pinball_loss",
-    "predict",
     "predict_interval",
     "report_to_json",
     "slope_decrease",

@@ -294,7 +294,7 @@ def cmd_evaluate(o) -> None:
     predictions = _out(o, "predictions.csv")
     try:
         with open(predictions, "w", newline="") as fh:
-            report = evaluate(test, model, calibrator, csv.writer(fh))
+            report = evaluate(test, model, calibrator, fh)
     except ValidationError:
         os.remove(predictions)  # a rejected evaluation leaves no predictions file
         raise

@@ -7,6 +7,7 @@ clinical score range); group membership is a dense integer id.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import re
@@ -69,6 +70,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _check_id(raw: str, row: int) -> None:
     if "\x00" in raw:
         raise ValidationError(f"id {raw!r} at row {row} contains a NUL character")
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    """Refuse an id holding NUL, as :func:`load_dataset` would on reading it.
+
+    numpy pads ids with NUL code points, so an inner NUL is a 0 followed
+    by a non-zero code point.
+    """
+    codes = ids.view(np.uint32).reshape(ids.size, ids.itemsize // 4)
+    inner = ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any(axis=1)
+    if inner.any():
+        row = int(np.argmax(inner))
+        _check_id(str(ids[row]), row)
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_ids(ids: list[str]) -> list[str]:
+    """Quote a block of ids as ``csv.writer``'s default dialect does.
+
+    An id holding ``,`` ``"`` CR or LF is quoted with its quotes doubled;
+    one scan of the joined block finds whether any id needs it.
+    """
+    if not _CSV_SPECIAL.search("".join(ids)):
+        return ids
+    return ['"' + i.replace('"', '""') + '"' if _CSV_SPECIAL.search(i) else i for i in ids]
 
 
 @dataclass(frozen=True)
@@ -203,8 +231,8 @@ def _parse_float(raw: str, column: str, row: int) -> float:
         raise ValidationError(f"non-numeric value {raw!r} in column {column!r} at row {row}") from None
 
 
-# Rows per parsed block: only one block's field strings are alive at a
-# time, not the whole file's.
+# Rows per block read or written: only one block's field strings are
+# alive at a time, not the whole file's.
 _READ_BLOCK = 4096
 _DTYPES = {float: np.float64, int: np.int64}
 
@@ -231,6 +259,15 @@ def _check_rows(rows, first_row: int, width: int, fields) -> None:
                     raise ValidationError(f"non-integer group id {row[j]!r} at row {row_no}") from None
                 if not -(2**63) <= value < 2**63:
                     raise ValidationError(f"group id {value} at row {row_no} is out of range")
+
+
+@contextlib.contextmanager
+def _csv_errors(reader, path: str):
+    """Turn a row ``csv`` cannot parse into a ValidationError naming its line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ValidationError(f"cannot parse {path!r} at line {reader.line_num}: {exc}") from None
 
 
 def load_dataset(
@@ -263,7 +300,8 @@ def load_dataset(
         raise ValidationError(f"cannot open dataset file {path!r}: {exc}") from None
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        with _csv_errors(reader, path):
+            header = next(reader, [])
         for logical in ("id", "y", "group"):
             if names[logical] not in header:
                 raise ValidationError(f"missing required column {names[logical]!r} in {path!r}")
@@ -286,7 +324,11 @@ def load_dataset(
         blocks: list[list[np.ndarray]] = []
         rows = filter(None, reader)  # csv yields [] for a blank line
         first_row = 1
-        while block := list(itertools.islice(rows, _READ_BLOCK)):
+        while True:
+            with _csv_errors(reader, path):
+                block = list(itertools.islice(rows, _READ_BLOCK))
+            if not block:
+                break
             columns = list(zip(*block))  # as many columns as the shortest row
             try:
                 ids = columns[id_field[1]]
@@ -334,21 +376,30 @@ def load_dataset(
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
-    """Write a dataset back to CSV with full round-trip float precision."""
+    """Write a dataset to CSV with full round-trip float precision.
+
+    The text is built and written ``_READ_BLOCK`` rows at a time, one
+    format string per row: floats as their ``repr``, ids quoted as
+    ``csv.writer`` quotes them (an id holding ``,`` ``"`` CR or LF is
+    quoted with its quotes doubled). An id holding NUL is refused before
+    the file is opened.
+    """
+    _check_ids(dataset.ids)
     header = ["id", "y", "group"]
+    columns = [dataset.ids, dataset.y, dataset.group]
     if dataset.q_lo is not None:
         header += ["q_lo", "q_hi"]
+        columns += [dataset.q_lo, dataset.q_hi]
     header += [f"x{j}" for j in range(dataset.feature_dim)]
-    # columns as Python floats and ints: repr of each is the text of the numpy value
-    columns = [dataset.ids.tolist(), map(repr, dataset.y.tolist()), dataset.group.tolist()]
-    if dataset.q_lo is not None:
-        columns += [map(repr, dataset.q_lo.tolist()), map(repr, dataset.q_hi.tolist())]
     if dataset.features is not None:
-        columns += [map(repr, col) for col in dataset.features.T.tolist()]
+        columns += list(dataset.features.T)
+    # .tolist() gives Python floats and ints: repr of each is the text of the numpy value
+    row = ",".join(["{}", "{!r}", "{}", *["{!r}"] * (len(columns) - 3)]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, dataset.n, _READ_BLOCK):
+            ids, *rest = (column[lo : lo + _READ_BLOCK].tolist() for column in columns)
+            fh.write("".join(map(row.format, _csv_ids(ids), *rest)))
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

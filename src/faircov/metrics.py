@@ -23,7 +23,7 @@ import numpy as np
 
 from .binning import BinPartition, bin_indices
 from .conformal import GlobalThreshold, band_columns
-from .core import Dataset, ValidationError
+from .core import Dataset, ValidationError, _check_ids, _csv_ids
 from .fair_calibration import ThresholdTable
 from .intervals import IntervalSet, band_pieces, union_components, union_covered, union_widths
 from .quantile_model import QuantileModel
@@ -158,19 +158,7 @@ def _resolve_band(test: Dataset, model: QuantileModel | None, calibrator):
 _BLOCK = 4096
 
 
-def _piece_texts(start: np.ndarray, end: np.ndarray) -> list[str]:
-    """``repr(start):repr(end)`` of each component.
-
-    Components clipped to a bin bound share it, so each distinct bound is
-    printed once. Bounds are told apart by their bits, which keeps
-    ``-0.0`` apart from ``0.0``.
-    """
-    bits, where = np.unique(np.concatenate((start, end)).view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
-    return list(map("{}:{}".format, text[: start.size].tolist(), text[start.size :].tolist()))
-
-
-def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None) -> EvalReport:
+def evaluate(test: Dataset, model: QuantileModel | None, calibrator, out=None) -> EvalReport:
     """Score a calibrated predictor on a test split, ``_BLOCK`` records at a time.
 
     Accepts either a single global shift or a per-(bin, group) table;
@@ -179,18 +167,22 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
     predictions come from the model median when available, otherwise the
     midpoint of the raw band.
 
-    A ``csv.writer`` gets ``predictions.csv`` in the same walk: a header,
-    then one row per record with its id, group, the text of its
-    :class:`IntervalSet`, its fallback point when it has no component,
-    covered, and the merged union's width. The report reads the
-    per-record arrays of the whole walk, so no figure depends on the
-    block.
+    A text file ``out``, opened with ``newline=""``, gets
+    ``predictions.csv`` in the same walk: a header, then one row per
+    record with its id, group, the text of its :class:`IntervalSet`, its
+    fallback point when it has no component, covered, and the merged
+    union's width. Each block's rows are made by one format string per
+    row and written at once; ids are quoted as ``csv.writer`` quotes
+    them, and an id holding NUL is refused before the header. The report
+    reads the per-record arrays of the whole walk, so no figure depends
+    on the block.
     """
     if test.n == 0:
         raise ValidationError("cannot score an empty test set")
     q_lo, q_hi, partition, r_hat, point, fallback, source = _resolve_band(test, model, calibrator)
-    if writer is not None:
-        writer.writerow(["id", "group", "components", "fallback", "covered", "width"])
+    if out is not None:
+        _check_ids(test.ids)
+        out.write("id,group,components,fallback,covered,width\r\n")
     bounds = np.asarray(partition.bounds)
     bins = bin_indices(partition, test.y)
     covered = np.empty(test.n, dtype=bool)
@@ -203,7 +195,7 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
         a, b = band_pieces(
             q_lo[block], q_hi[block], test.group[block], r_hat, bounds, buffers[:, :, :size]
         )
-        components = union_components(a, b) if writer is not None else None
+        components = union_components(a, b) if out is not None else None
         width[block], has_piece[block] = union_widths(a, b)  # after the components: it reuses b
         covered[block] = union_covered(
             q_lo[block], q_hi[block], test.group[block], r_hat, bounds,
@@ -211,18 +203,18 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, writer=None
         )
         if components is not None:
             count, start, end, merged_width = components
-            pieces = _piece_texts(start, end)
+            pieces = list(map("{!r}:{!r}".format, start.tolist(), end.tolist()))
             stops = np.cumsum(count).tolist()
-            writer.writerows(
-                zip(
-                    test.ids[block].tolist(),
-                    test.group[block].tolist(),
-                    [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
-                    ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],
-                    covered[block].astype(np.int64).tolist(),
-                    map(repr, merged_width.tolist()),
-                )
+            rows = map(
+                "{},{},{},{},{:d},{!r}\r\n".format,
+                _csv_ids(test.ids[block].tolist()),
+                test.group[block].tolist(),
+                [";".join(pieces[i:j]) for i, j in zip([0, *stops], stops)],
+                ["" if k else repr(f) for k, f in zip(count.tolist(), fallback[block].tolist())],
+                covered[block].tolist(),
+                merged_width.tolist(),
             )
+            out.write("".join(rows))
 
     s_groups = test.group_count
     cell = bins * s_groups + test.group  # one key per (bin, group)

@@ -28,7 +28,6 @@ __all__ = [
     "pinball_loss",
     "pinball_grad",
     "fit",
-    "predict",
     "generate_synthetic",
     "signal_coefficients",
 ]
@@ -90,11 +89,6 @@ class QuantileLevels:
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
         return cls((alpha / 2.0, 0.5, 1.0 - alpha / 2.0))
-
-    @classmethod
-    def full_grid(cls) -> "QuantileLevels":
-        """The dense grid 0.01, 0.02, ..., 0.99."""
-        return cls(tuple(float(np.round(k / 100.0, 2)) for k in range(1, 100)))
 
     def index_of(self, level: float) -> int:
         for i, q in enumerate(self.levels):
@@ -178,16 +172,6 @@ class QuantileModel:
             seed=int(payload["seed"]),
             loss_trace=tuple(float(v) for v in payload["loss_trace"]),
         )
-
-
-def predict(model: QuantileModel, features: np.ndarray) -> np.ndarray:
-    """Predict all levels for a single feature vector, sorted ascending."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.feature_dim:
-        raise ValidationError(
-            f"feature vector must have length {model.feature_dim}, got shape {x.shape}"
-        )
-    return model.predict_many(x[None, :])[0]
 
 
 def fit(train: Dataset, levels: QuantileLevels, epochs: int = 400, seed: int = 0) -> QuantileModel:

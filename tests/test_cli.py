@@ -624,6 +624,18 @@ class TestMalformedArtifacts:
         )
         assert message == f"row 3 has 2 fields; the header has {len(rows[0])}"
 
+    def test_id_past_the_csv_field_limit(self, pipeline, tmp_path, capsys):
+        rows = read_rows(os.path.join(pipeline, "train.csv"))
+        rows[2][0] = "x" * 200_000
+        path = tmp_path / "train.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["fit", "--out-dir", str(tmp_path / "out"), "--data", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse ")
+        assert "at line 3: field larger than field limit (131072)" in err
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

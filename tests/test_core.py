@@ -403,6 +403,27 @@ class TestRoundTrip:
                     row += [repr(float(v)) for v in dataset.features[i]]
                 writer.writerow(row)
 
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
+        # ids csv must quote, an empty one and a leading space, at the start
+        # and on both sides of the edge of the first 4,096 rows
+        monkeypatch.setattr(core, "_READ_BLOCK", block)
+        n = 4100
+        awkward = [",", '"', "\r", "\n", "", " lead", 'a "b", c', "\r\n"]
+        ids = [f"r{i}" for i in range(n)]
+        ids[: len(awkward)] = awkward
+        ids[4092 : 4092 + len(awkward)] = awkward
+        rng = np.random.default_rng(6)
+        y = rng.uniform(0, 10, n)
+        d = Dataset(
+            ids=ids, y=y, group=rng.integers(0, 3, n), label_domain=(0.0, 10.0), group_count=3,
+            q_lo=y - 1.5, q_hi=y + 0.5, features=rng.normal(size=(n, 2)),
+        )
+        write_dataset(d, str(tmp_path / "got.csv"))
+        self.write_rows(d, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert load_dataset(str(tmp_path / "got.csv"), (0.0, 10.0)).ids.tolist() == ids
+
     @pytest.mark.parametrize("bands", [False, True])
     @pytest.mark.parametrize("feature_dim", [None, 0, 3])
     def test_bytes_match_row_by_row_writer(self, tmp_path, bands, feature_dim):
@@ -445,11 +466,37 @@ class TestIds:
         path = tmp_path / "d.csv"
         path.write_bytes(b"id,y,group\na,1,0\nb\x00,2,1\nc,x,0\n")
         if sys.version_info >= (3, 11):
-            error, message = ValidationError, r"^id 'b\\x00' at row 2 contains a NUL character$"
+            message = r"^id 'b\\x00' at row 2 contains a NUL character$"
         else:  # before 3.11 the csv module refuses a NUL itself
-            error, message = csv.Error, "NUL"
-        with pytest.raises(error, match=message):
+            message = r"^cannot parse '.*' at line 3: line contains NUL$"
+        with pytest.raises(ValidationError, match=message):
             load_dataset(str(path), (0.0, 10.0))
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_a_field_past_the_csv_limit_names_its_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(core, "_READ_BLOCK", block)
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,y,group\na,1,0\n\nb,2,0\n{'c' * 200_000},3,0\nd,4,0\n")
+        message = r"^cannot parse '.*d\.csv' at line 5: field larger than field limit \(131072\)$"
+        with pytest.raises(ValidationError, match=message):
+            load_dataset(str(path), (0.0, 10.0))
+        path.write_text(f"id,y,group,{'x' * 200_000}\na,1,0,0\n")
+        with pytest.raises(ValidationError, match="at line 1: field larger than field limit"):
+            load_dataset(str(path), (0.0, 10.0))
+
+    @pytest.mark.parametrize("bad", ["a\x00b", "\x00b", "a\x00\x00b"])
+    def test_nul_in_a_numpy_id_refused_by_the_writer(self, tmp_path, bad):
+        # numpy keeps an inner NUL, and Dataset takes the array as it is
+        d = Dataset(ids=np.array(["c", bad]), y=[1.0, 2.0], group=[0, 0], label_domain=(0.0, 10.0), group_count=1)
+        message = f"id {bad!r} at row 1 contains a NUL character"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_dataset(d, str(tmp_path / "d.csv"))
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_trailing_nul_in_a_numpy_id_is_padding(self, tmp_path):
+        d = Dataset(ids=np.array(["c\x00", "dd"]), y=[1.0, 2.0], group=[0, 0], label_domain=(0.0, 10.0), group_count=1)
+        write_dataset(d, str(tmp_path / "d.csv"))
+        assert load_dataset(str(tmp_path / "d.csv"), (0.0, 10.0)).ids.tolist() == ["c", "dd"]
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv refuses a NUL before Python 3.11")
     def test_a_bad_label_before_a_nul_id_in_the_same_row_comes_first(self, tmp_path):

@@ -12,6 +12,7 @@ reuses from block to block.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, metrics
+from faircov import GlobalThreshold, IntervalSet, QuantileLevels, QuantileModel, ThresholdTable, ValidationError, metrics
 from faircov.binning import BinPartition, bin_indices
 from faircov.conformal import band_columns
 from faircov.intervals import band_pieces, union_covered, union_widths
@@ -122,7 +123,7 @@ def reference_report(test, model, calibrator) -> str:
 def write_predictions(path, test, model, calibrator):
     """``predictions.csv`` as ``faircov evaluate`` writes it; returns the report."""
     with open(path, "w", newline="") as fh:
-        return evaluate(test, model, calibrator, csv.writer(fh))
+        return evaluate(test, model, calibrator, fh)
 
 
 def assert_one_pass_matches_two(q_lo, q_hi, y, group, r_hat, bounds, fallback):
@@ -247,6 +248,35 @@ def test_artifacts_do_not_depend_on_the_block(tmp_path, name, model, drop):
             report = write_predictions(path, test, model, calibrator)
         artifacts.add((report_to_json(report), path.read_bytes()))
     assert len(artifacts) == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_awkward_ids_do_not_depend_on_the_block(tmp_path, block):
+    # ids csv must quote, an empty one and a leading space, at the start and
+    # on both sides of the edge of the first 4,096 records
+    test = adversarial_records()
+    test = test.subset(np.arange(4100) % test.n)
+    awkward = [",", '"', "\r", "\n", "", " lead", 'a "b", c', "\r\n"]
+    ids = [f"r{i}" for i in range(test.n)]
+    ids[: len(awkward)] = awkward
+    ids[4092 : 4092 + len(awkward)] = awkward
+    test = dataclasses.replace(test, ids=ids)
+    calibrator = CALIBRATORS["touching"]
+    path = tmp_path / "predictions.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BLOCK", block)
+        write_predictions(path, test, None, calibrator)
+    assert path.read_bytes() == reference_csv(test, None, calibrator).encode()
+
+
+def test_nul_in_an_id_refused_before_the_header(tmp_path):
+    test = adversarial_records()
+    ids = np.array(["r0", "a\x00b", *test.ids[2:].tolist()])
+    test = dataclasses.replace(test, ids=ids)
+    path = tmp_path / "predictions.csv"
+    with pytest.raises(ValidationError, match=r"^id 'a\\x00b' at row 1 contains a NUL character$"):
+        write_predictions(path, test, None, CALIBRATORS["touching"])
+    assert path.read_bytes() == b""
 
 
 def test_adversarial_cases_are_reached():

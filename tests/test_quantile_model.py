@@ -14,7 +14,6 @@ from faircov import (
     generate_synthetic,
     pinball_grad,
     pinball_loss,
-    predict,
 )
 from faircov import quantile_model
 
@@ -83,20 +82,21 @@ class TestPredict:
 
     def test_zero_weights_pass_bias_through(self):
         m = self.model(np.zeros((3, 2)), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(predict(m, np.array([5.0, -5.0])), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(m.predict_many(np.array([[5.0, -5.0]])), [[1.0, 2.0, 3.0]])
 
     def test_crossing_outputs_rearranged(self):
         m = self.model(np.zeros((3, 0)), [3.0, 2.0, 5.0])
-        np.testing.assert_array_equal(predict(m, np.zeros(0)), [2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(m.predict_many(np.zeros((2, 0))), [[2.0, 3.0, 5.0]] * 2)
 
     def test_output_length_matches_levels(self):
         m = self.model(np.zeros((3, 4)), [0.0, 0.0, 0.0])
-        assert predict(m, np.zeros(4)).shape == (3,)
+        assert m.predict_many(np.zeros((5, 4))).shape == (5, 3)
 
     def test_dimension_mismatch(self):
         m = self.model(np.zeros((3, 2)), [0.0, 0.0, 0.0])
-        with pytest.raises(ValidationError):
-            predict(m, np.zeros(3))
+        for shape in [(2,), (1, 3), (2, 2, 2)]:
+            with pytest.raises(ValidationError):
+                m.predict_many(np.zeros(shape))
 
     def test_json_round_trip(self):
         m = self.model(np.arange(6, dtype=float).reshape(3, 2) / 7.0, [0.1, 0.2, 0.3])
@@ -237,7 +237,8 @@ class TestFitMatchesReference:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(300, 3))
         y = np.clip(x @ np.array([1.0, -0.5, 2.0]) + 5.0 + rng.normal(size=300), 0.0, 10.0)
-        self.assert_exact(make_dataset(y, [0] * 300, features=x), QuantileLevels.full_grid())
+        grid = QuantileLevels(tuple(k / 100.0 for k in range(1, 100)))  # 0.01, 0.02, ..., 0.99
+        self.assert_exact(make_dataset(y, [0] * 300, features=x), grid)
 
     def test_constant_feature_column(self):
         rng = np.random.default_rng(24)
