@@ -37,8 +37,6 @@ from .fair_calibration import (
     fair_calibrate,
     init_thresholds,
     measure_coverage,
-    slope_decrease,
-    slope_increase,
 )
 from .intervals import IntervalSet, predict_interval
 from .metrics import EvalReport, evaluate, mpiw, picp, picp_gap, report_to_json
@@ -91,8 +89,6 @@ __all__ = [
     "pinball_loss",
     "predict_interval",
     "report_to_json",
-    "slope_decrease",
-    "slope_increase",
     "split_cp_calibrate",
     "split_dataset",
     "write_dataset",

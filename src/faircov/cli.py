@@ -19,9 +19,10 @@ overwrites it.
 ``fit`` (and ``compare --train``) fits the quantile model exactly; its
 ``--epochs`` caps the interior-point iterations per quantile level.
 
-Exit codes: 0 success, 1 input or validation error, 2 argument-syntax
-error (from argparse). With ``--json-errors`` a validation error is
-emitted as a JSON object on stderr.
+Exit codes: 0 success, 1 input or validation error or an artifact that
+cannot be written, 2 argument-syntax error (from argparse). With
+``--json-errors`` such an exit-1 error is emitted as a JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -48,7 +48,7 @@ from .core import (
     split_dataset,
     write_dataset,
 )
-from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate, measure_coverage
+from .fair_calibration import ThresholdTable, cqr_calibrate_groupwise, fair_calibrate, missed_floors
 from .intervals import predict_interval  # noqa: F401 - bench/tracing.py rebinds this name
 from .metrics import (
     comparison_header,
@@ -103,6 +103,13 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
 
 
 def _domain(text: str) -> tuple[float, float]:
@@ -241,34 +248,13 @@ def _run_calibration(method, cal, model, alpha, bins, max_iters=None):
     return fair_calibrate(cal, model, bins, alpha, max_iters=max_iters)
 
 
-def _missed_floors(cal, model, table: ThresholdTable) -> list[str]:
-    """The coverage floors ``table`` misses on its own calibration set.
-
-    Every group's bin-mean coverage must reach ``1 - alpha`` and the
-    pooled covered count ``ceil(n (1 - alpha))``, with the optimizer's
-    own tolerances.
-    """
-    state = measure_coverage(cal, model, table)
-    target = 1.0 - table.alpha
-    missed = [
-        f"group {s} bin-mean coverage {mean!r} < {target!r}"
-        for s, mean in enumerate(state.per_group_mean.tolist())
-        if mean < target - 1e-12
-    ]
-    covered = int(np.rint((state.beta * state.cell_counts).sum()))
-    floor = math.ceil(cal.n * target - 1e-9)
-    if covered < floor:
-        missed.append(f"pooled covered count {covered} < {floor}")
-    return missed
-
-
 def cmd_calibrate(o) -> None:
     cal = _load_data(o, o.data)
     model = _load_model(o)
     calibrator, trace = _run_calibration(o.method, cal, model, o.alpha, o.bins, o.max_iters)
     if trace is not None:
         # a fuq table below its floors is an error, not an artifact
-        missed = _missed_floors(cal, model, calibrator)
+        missed = missed_floors(cal, model, calibrator)
         if missed:
             raise ValidationError(
                 f"the fuq table misses its coverage floors (optimizer stopped by "
@@ -292,11 +278,12 @@ def cmd_evaluate(o) -> None:
     test = _load_data(o, o.data, group_count)
     model = _load_model(o)
     predictions = _out(o, "predictions.csv")
+    fh = open(predictions, "w", newline="")
     try:
-        with open(predictions, "w", newline="") as fh:
+        with fh:
             report = evaluate(test, model, calibrator, fh)
-    except ValidationError:
-        os.remove(predictions)  # a rejected evaluation leaves no predictions file
+    except (ValidationError, OSError):
+        os.remove(predictions)  # a rejected or failed evaluation leaves no predictions file
         raise
     _write_text(o, "report.json", report_to_json(report))
 
@@ -368,7 +355,7 @@ def cmd_sweep_m(o) -> None:
 
 OPTIONS: dict[str, Option] = {
     "out_dir": Option(str, ".", "artifact directory"),
-    "seed": Option(int, 0, "integer seed"),
+    "seed": Option(_seed, 0, "integer seed"),
     "n": Option(int, 8000, "total record count"),
     "group_probs": Option(_floats, (0.5, 0.5), "comma list of group probabilities"),
     "noise_scales": Option(_floats, (1.0, 2.0), "comma list, one noise scale per group"),
@@ -507,7 +494,7 @@ def main(argv=None) -> int:
         )
         _run(args, config)
         return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an artifact that cannot be written
         if json_errors:
             payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": 1}
             print(json.dumps(payload, sort_keys=True), file=sys.stderr)

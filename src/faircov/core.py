@@ -54,7 +54,7 @@ class SplitSpec:
     def __post_init__(self):
         if len(self.fractions) != 3:
             raise ValidationError("exactly three split fractions are required")
-        if any(f < 0 or f > 1 for f in self.fractions):
+        if any(not 0.0 <= f <= 1.0 for f in self.fractions):  # NaN fails too
             raise ValidationError(f"split fractions must lie in [0, 1], got {self.fractions}")
         total = sum(self.fractions)
         if abs(total - 1.0) > 1e-12:

@@ -74,8 +74,7 @@ __all__ = [
     "OptimizerTrace",
     "init_thresholds",
     "measure_coverage",
-    "slope_decrease",
-    "slope_increase",
+    "missed_floors",
     "eoc_optimize",
     "fair_calibrate",
     "cqr_calibrate_groupwise",
@@ -257,11 +256,6 @@ class OptimizerTrace:
             )
         )
 
-    def gaps(self) -> list[float]:
-        """Max-minus-min group mean before and after each step."""
-        means = np.vstack((self.initial_per_group_mean, self.per_group_mean))
-        return (means.max(axis=1) - means.min(axis=1)).tolist()
-
     def summary(self) -> dict:
         steps = self.donor_group.size
         final = self.per_group_mean[-1].tolist() if steps else list(self.initial_per_group_mean)
@@ -292,6 +286,38 @@ def measure_coverage(cal: Dataset, model: QuantileModel | None, table: Threshold
     return CellScores.measure(cal, model, table.partition, table.alpha).coverage(table.r_hat)
 
 
+def _floors(n: int, alpha: float) -> tuple[float, int]:
+    """The coverage floors of a table calibrated on ``n`` records.
+
+    Every group's bin-mean coverage must reach the first, ``1 - alpha``
+    less 1e-12 for rounding, and the pooled covered count the second,
+    ``ceil(n (1 - alpha))``, taken 1e-9 below so that a product that
+    rounds up past an integer does not ask for one record more.
+    """
+    target = 1.0 - alpha
+    return target - 1e-12, math.ceil(n * target - 1e-9)
+
+
+def missed_floors(cal: Dataset, model: QuantileModel | None, table: ThresholdTable) -> list[str]:
+    """The coverage floors ``table`` misses on its own calibration set.
+
+    One message per missed floor, each group's bin-mean coverage first,
+    then the pooled covered count; empty when the table meets them all.
+    """
+    state = measure_coverage(cal, model, table)
+    target = 1.0 - table.alpha
+    floor, k_floor = _floors(cal.n, table.alpha)
+    missed = [
+        f"group {s} bin-mean coverage {mean!r} < {target!r}"
+        for s, mean in enumerate(state.per_group_mean.tolist())
+        if mean < floor
+    ]
+    covered = int(np.rint((state.beta * state.cell_counts).sum()))
+    if covered < k_floor:
+        missed.append(f"pooled covered count {covered} < {k_floor}")
+    return missed
+
+
 def init_thresholds(
     cal: Dataset, model: QuantileModel | None, partition: BinPartition, alpha: float
 ) -> tuple[ThresholdTable, CoverageState]:
@@ -309,17 +335,6 @@ def init_thresholds(
 
 def _covered_count(cell: np.ndarray, threshold: float) -> int:
     return int(np.searchsorted(cell, threshold, side="right"))
-
-
-def _dec_slope(cell: np.ndarray, k: int) -> float:
-    # width saved per record when the k-th covered sample is dropped; k >= 2
-    return (cell.item(k - 1) - cell.item(k - 2)) / cell.size
-
-
-def _inc_slope(cell: np.ndarray, k: int, current: float) -> float:
-    # width paid per record when the (k+1)-th sample is covered; k < size
-    base = cell.item(k - 1) if k >= 1 else float(current)
-    return max(0.0, cell.item(k) - base) / cell.size
 
 
 def _lay_out(cells: CellScores, seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,43 +435,6 @@ class _MoveStream:
         k += self.k_end[:, None]
         self.k_end = k[:, -1]
         self.mu = np.concatenate((self.mu, reduce(add, k / self.sizes[:, None]) / self.sizes.size))
-
-
-def slope_decrease(cell_scores, r_hat: float) -> float:
-    """Width saved per record by covering exactly one fewer record.
-
-    The gap between the largest covered score and the next order
-    statistic below it, divided by the cell size. Tied scores make the
-    change free (slope zero). Raises when the cell covers no record, or
-    only one: dropping the last covered sample has no order statistic to
-    land on and is never performed.
-    """
-    cell = np.sort(np.asarray(cell_scores, dtype=np.float64))
-    if cell.size == 0:
-        raise ValidationError("cell has no scores")
-    k = _covered_count(cell, float(r_hat))
-    if k == 0:
-        raise ValidationError("cell covers no records at the current threshold; cannot decrease")
-    if k == 1:
-        raise ValidationError("cell covers a single record; no lower order statistic to move to")
-    return _dec_slope(cell, k)
-
-
-def slope_increase(cell_scores, r_hat: float) -> float:
-    """Width paid per record by covering exactly one more record.
-
-    The gap between the smallest uncovered score and the largest covered
-    one (or the current threshold when nothing is covered), divided by
-    the cell size and floored at zero. Raises when the cell is fully
-    covered already.
-    """
-    cell = np.sort(np.asarray(cell_scores, dtype=np.float64))
-    if cell.size == 0:
-        raise ValidationError("cell has no scores")
-    k = _covered_count(cell, float(r_hat))
-    if k == cell.size:
-        raise ValidationError("cell covers every record already; cannot increase")
-    return _inc_slope(cell, k, float(r_hat))
 
 
 def eoc_optimize(
@@ -564,7 +542,6 @@ def eoc_optimize(
         max_iters = 10 * cal.n
     if max_iters < 1:
         raise ValidationError("max_iters must be positive")
-    target = 1.0 - table0.alpha
     s_groups = table0.group_count
     m_bins = table0.partition.m
     init_means = tuple(float(v) for v in state0.per_group_mean)
@@ -603,8 +580,8 @@ def eoc_optimize(
     # covered count keeps its own floor, ceil(n * (1 - alpha)), enforced
     # at every spending move.
     eps = 1e-12
-    k_floor = math.ceil(cal.n * target - 1e-9)
-    level = target
+    floor, k_floor = _floors(cal.n, table0.alpha)
+    level = 1.0 - table0.alpha
     stop = band / m_bins
     cell_weight = 1.0 / (m_bins * s_groups)
     quantum = cell_weight * s_groups / counts  # group-mean change of a one-sample move
@@ -699,7 +676,6 @@ def eoc_optimize(
         steps += 1
 
     slack = (stop + eps).tolist()
-    floor = level - eps
     reason: str | None = None
     while steps < max_iters:
         over = [s for s in groups if mu[s] - level > slack[s]]
@@ -735,7 +711,7 @@ def eoc_optimize(
             progress = False
 
             while k.sum() > k_floor:
-                gain = np.where(np.array(mu) - quantum >= level - eps, drops(), -np.inf)
+                gain = np.where(np.array(mu) - quantum >= floor, drops(), -np.inf)
                 m1, s1 = divmod(int(np.argmax(gain)), s_groups)
                 if gain[m1, s1] <= 0.0:
                     break  # a zero slope is a tie, which a drop cannot move
@@ -753,8 +729,8 @@ def eoc_optimize(
                 post = mu1 + quantum.ravel()[None, :]
                 ok = np.where(
                     same_group,
-                    (level - eps <= post) & (post <= ceiling[:, None]),
-                    (mu1 >= level - eps) & (mu2 <= ceiling[None, :]),
+                    (floor <= post) & (post <= ceiling[:, None]),
+                    (mu1 >= floor) & (mu2 <= ceiling[None, :]),
                 )
                 dec, inc = drops(), adds()
                 gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
@@ -844,9 +820,7 @@ def brute_force_oracle(
         raise ValidationError("oracle search is limited to two million candidate tables")
     q_lo, q_hi, _ = band_columns(cal, model, alpha)
     bounds = np.asarray(partition.bounds)
-    n_total = cal.n
-    target = 1.0 - alpha
-    k_floor = min(n_total, math.ceil(n_total * target - 1e-9))
+    floor, k_floor = _floors(cal.n, alpha)
 
     # Candidates, covered counts, and width contributions per cell. A
     # cell's threshold prices the band piece inside that bin for every
@@ -895,7 +869,7 @@ def brute_force_oracle(
         group_choices.append(choices)
         group_w.append(w)
         group_k.append(ktot)
-        group_ok.append(beta_mean >= target - 1e-12)
+        group_ok.append(beta_mean >= floor)
 
     total_w = np.zeros(1)
     total_k = np.zeros(1, dtype=np.int64)

@@ -15,6 +15,7 @@ to the label domain.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,6 @@ class QuantileLevels:
             if abs(q - level) < 1e-9:
                 return i
         raise ValidationError(f"level {level} is not in the configured grid {self.levels}")
-
-    def require_alpha(self, alpha: float) -> None:
-        """Check that the grid supports miscoverage level ``alpha``."""
-        for needed in (alpha / 2.0, 0.5, 1.0 - alpha / 2.0):
-            self.index_of(needed)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -312,21 +308,21 @@ class SyntheticSpec:
             raise ValidationError(f"sample count must be positive, got {self.n}")
         probs = tuple(float(p) for p in self.group_probs)
         object.__setattr__(self, "group_probs", probs)
-        if not probs or any(p < 0 for p in probs):
-            raise ValidationError(f"group probabilities must be non-negative, got {probs}")
+        if not probs or any(not 0.0 <= p <= 1.0 for p in probs):  # NaN fails too
+            raise ValidationError(f"group probabilities must lie in [0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValidationError(f"group probabilities must sum to 1, got {sum(probs)!r}")
         scales = tuple(float(s) for s in self.noise_scale_per_group)
         object.__setattr__(self, "noise_scale_per_group", scales)
         if len(scales) != len(probs):
             raise ValidationError("one noise scale per group is required")
-        if any(s <= 0 for s in scales):
-            raise ValidationError(f"noise scales must be positive, got {scales}")
+        if any(not 0.0 < s < math.inf for s in scales):  # NaN fails too
+            raise ValidationError(f"noise scales must be positive and finite, got {scales}")
         if self.feature_dim < 0:
             raise ValidationError("feature_dim must be non-negative")
         lo, hi = self.label_domain
-        if not lo < hi:
-            raise ValidationError(f"label domain must be ordered, got {self.label_domain}")
+        if not -math.inf < lo < hi < math.inf:  # NaN fails too
+            raise ValidationError(f"label domain must be a finite ordered pair, got {self.label_domain}")
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from faircov import GlobalThreshold, ThresholdTable, cli, core, equal_mass_bins, intervals, metrics, write_dataset
-from faircov.cli import _missed_floors, build_parser, main
+from faircov.cli import build_parser, main
+from faircov.fair_calibration import missed_floors
 
 from conftest import make_dataset
 
@@ -345,6 +346,52 @@ class TestExitCodes:
         assert payload["exit_code"] == 1
         assert "bogus" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--group-probs", "nan,0.5", "group probabilities must lie in [0, 1]"),
+            ("--fractions", "nan,0.5,0.5", "split fractions must lie in [0, 1]"),
+            ("--noise-scales", "1,inf", "noise scales must be positive and finite"),
+            ("--label-domain", "0,inf", "label domain must be a finite ordered pair"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")  # rejected before any record is drawn
+    def test_non_finite_spec_value_exits_one(self, tmp_path, capsys, flag, value, message):
+        assert main(["simulate", "--out-dir", str(tmp_path), "--n", "40", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not os.path.exists(tmp_path / "train.csv")
+
+    def test_unwritable_artifact_exits_one(self, pipeline, tmp_path, capsys):
+        # a directory where fit writes model.json
+        (tmp_path / "model.json").mkdir()
+        argv = ["fit", "--out-dir", str(tmp_path), "--data", os.path.join(pipeline, "train.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main([*argv, "--json-errors"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert (payload["error"], payload["exit_code"]) == ("IsADirectoryError", 1)
+        assert "model.json" in payload["message"]
+
+    def test_failed_predictions_write_leaves_no_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        def full_disk(test, model, calibrator, out):
+            out.write("partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "evaluate", full_disk)
+        code = main(
+            [
+                "evaluate",
+                "--out-dir", str(tmp_path),
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--calibrator", os.path.join(pipeline, "calibrator.json"),
+            ]
+        )
+        assert code == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestFloorCheck:
     """``calibrate --method fuq`` refuses a table below its coverage floors."""
@@ -393,7 +440,7 @@ class TestFloorCheck:
             partition=equal_mass_bins(cal.y, 2, cal.label_domain),
             group_count=2,
         )
-        assert _missed_floors(cal, None, table) == ["pooled covered count 14 < 16"]
+        assert missed_floors(cal, None, table) == ["pooled covered count 14 < 16"]
 
 
 class TestConfigFile:
@@ -668,7 +715,9 @@ FLAGS = {
 # Values for each command's required options, so resolution reaches the bad value.
 REQUIRED = {
     "simulate": [],
+    "fit": ["--data", "unused.csv"],
     "calibrate": ["--data", "unused.csv"],
+    "evaluate": ["--data", "unused.csv", "--calibrator", "unused.json"],
     "compare": ["--cal", "unused.csv", "--test", "unused.csv"],
     "sweep-m": ["--data", "unused.csv", "--model", "unused.json"],
 }
@@ -710,6 +759,12 @@ class TestCliSurface:
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
         assert f"invalid value {value!r} for --{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        argv = [command, "--out-dir", str(tmp_path / "out"), *REQUIRED[command], "--seed", "-1"]
+        assert main(argv) == 1
+        assert "error: invalid value '-1' for --seed: seed must be non-negative" in capsys.readouterr().err
 
     def test_manifest_records_every_declared_option(self, pipeline, tmp_path):
         def path(name):

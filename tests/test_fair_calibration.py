@@ -24,8 +24,6 @@ from faircov import (
     init_thresholds,
     measure_coverage,
     predict_interval,
-    slope_decrease,
-    slope_increase,
 )
 from faircov.fair_calibration import (
     CONVERGED,
@@ -36,8 +34,6 @@ from faircov.fair_calibration import (
     IterationRecord,
     OptimizerTrace,
     _covered_count,
-    _dec_slope,
-    _inc_slope,
     _lay_out,
     _MoveStream,
     eoc_optimize,
@@ -59,6 +55,26 @@ def point_band_dataset(scores_by_group, alpha_center=5.0, domain=(0.0, 10.0)):
             group.append(s)
             q.append(alpha_center - v)
     return make_dataset(y, group, q_lo=q, q_hi=q, domain=domain)
+
+
+def dec_slope(cell: np.ndarray, k: int) -> float:
+    """Width saved per record when the k-th covered sample is dropped; k >= 2."""
+    return (cell.item(k - 1) - cell.item(k - 2)) / cell.size
+
+
+def inc_slope(cell: np.ndarray, k: int, current: float) -> float:
+    """Width paid per record when the (k+1)-th sample is covered; k < size.
+
+    With nothing covered the base is the threshold ``current`` itself.
+    """
+    base = cell.item(k - 1) if k >= 1 else float(current)
+    return max(0.0, cell.item(k) - base) / cell.size
+
+
+def gaps(trace) -> list[float]:
+    """Max-minus-min group mean before the first move and after each one."""
+    means = np.vstack((trace.initial_per_group_mean, trace.per_group_mean))
+    return (means.max(axis=1) - means.min(axis=1)).tolist()
 
 
 class TestInitThresholds:
@@ -177,32 +193,59 @@ class TestSingleScoringPass:
 
 
 class TestSlopes:
+    """The trace's slope columns on one-bin instances of two groups.
+
+    Group 0 holds the cell [1, 2, 5] or [1, 2]; group 1 sets the seed
+    shift with it and takes the other side of the move.
+    """
+
+    def run(self, cell, other, alpha):
+        return fair_calibrate(point_band_dataset([cell, other]), None, 1, alpha)
+
     def test_decrease_example(self):
-        assert slope_decrease([1.0, 2.0, 5.0], 5.0) == 1.0
-        assert slope_decrease([1.0, 2.0, 5.0], 2.0) == pytest.approx(1.0 / 3.0)
+        # seed 5 covers all three: the drop lands on 2, saving 3 over 3 records
+        _, trace = self.run([1.0, 2.0, 5.0], [6.0], 0.4)
+        assert trace.initial_per_group_mean == (1.0, 0.0)
+        assert trace.donor_group.tolist() == [0]
+        assert trace.slope_decrease.tolist() == [1.0]
+        # seed 2 covers two: the drop lands on 1
+        _, trace = self.run([1.0, 2.0, 5.0], [4.0, 5.0], 0.7)
+        assert trace.initial_per_group_mean[0] == pytest.approx(2.0 / 3.0)
+        assert trace.donor_group.tolist() == [0]
+        assert trace.slope_decrease.tolist() == [pytest.approx(1.0 / 3.0)]
 
     def test_increase_example(self):
-        assert slope_increase([1.0, 2.0, 5.0], 2.0) == 1.0
-        assert slope_increase([1.0, 2.0, 5.0], 0.0) == pytest.approx(1.0 / 3.0)
+        # seed 2 covers two: the add lands on 5
+        _, trace = self.run([1.0, 2.0, 5.0], [0.5, 0.5, 0.5], 0.3)
+        assert trace.recipient_group.tolist() == [0]
+        assert trace.slope_increase.tolist() == [1.0]
+        # seed 0 covers none: the first add lands on 1
+        table, trace = self.run([1.0, 2.0, 5.0], [0.0, 0.0, 0.0], 0.6)
+        assert (table.global_r_hat, trace.initial_per_group_mean[0]) == (0.0, 0.0)
+        assert trace.recipient_group[0] == 0
+        assert trace.slope_increase[0] == pytest.approx(1.0 / 3.0)
 
     def test_tied_scores_drop_free(self):
-        assert slope_decrease([2.0, 2.0, 3.0], 2.0) == 0.0
+        # as in the second decrease example, group 0 covers two and sits
+        # above its window, but its top covered scores tie: the drop would
+        # save nothing and never moves, so group 1 takes a lone add
+        table, trace = self.run([2.0, 2.0, 3.0], [4.0, 5.0], 0.7)
+        assert trace.initial_per_group_mean[0] == pytest.approx(2.0 / 3.0)
+        assert (trace.donor_group.tolist(), trace.recipient_group.tolist()) == ([-1], [1])
+        assert np.isnan(trace.slope_decrease).all()
+        assert table.r_hat[0, 0] == 2.0
 
     def test_increase_base_is_covered_order_statistic(self):
-        # with one record covered the base is its score, not the threshold
-        assert slope_increase([1.0, 2.0], 1.5) == pytest.approx(0.5)
-        # with nothing covered the base is the threshold itself
-        assert slope_increase([1.0, 2.0], 0.5) == pytest.approx(0.25)
-
-    def test_boundary_errors(self):
-        with pytest.raises(ValidationError, match="no records"):
-            slope_decrease([1.0, 2.0], 0.0)
-        with pytest.raises(ValidationError, match="single record"):
-            slope_decrease([1.0, 2.0], 1.0)
-        with pytest.raises(ValidationError, match="every record"):
-            slope_increase([1.0, 2.0], 2.0)
-        with pytest.raises(ValidationError, match="no scores"):
-            slope_decrease([], 0.0)
+        # seed 1.5 covers one record: the base is its score, not the threshold
+        table, trace = self.run([1.0, 2.0], [0.5, 0.5, 1.5], 0.4)
+        assert (table.global_r_hat, trace.initial_per_group_mean[0]) == (1.5, 0.5)
+        assert trace.recipient_group.tolist() == [0]
+        assert trace.slope_increase.tolist() == [0.5]
+        # seed 0.5 covers nothing: the base is the threshold itself
+        table, trace = self.run([1.0, 2.0], [0.5, 0.5], 0.6)
+        assert (table.global_r_hat, trace.initial_per_group_mean[0]) == (0.5, 0.0)
+        assert trace.recipient_group.tolist() == [0]
+        assert trace.slope_increase.tolist() == [0.25]
 
 
 class TestFixedPoint:
@@ -219,7 +262,7 @@ class TestFixedPoint:
         assert trace.termination_reason == CONVERGED
         assert trace.iterations == ()
         assert trace.initial_per_group_mean == (0.8, 0.75)
-        assert trace.gaps() == [pytest.approx(0.05)]
+        assert gaps(trace) == [pytest.approx(0.05)]
 
     def test_oracle_agrees(self):
         data = self.data()
@@ -430,8 +473,8 @@ class TestTraceInvariants:
             data, table, trace, state = self.run(seed)
             counts = state.cell_counts
             stop_max = float((1.0 / counts.min(axis=0)).max()) / table.partition.m
-            gaps = trace.gaps()
-            for a, b in zip(gaps, gaps[1:]):
+            spread = gaps(trace)
+            for a, b in zip(spread, spread[1:]):
                 assert b <= a + 2.0 * stop_max + 1e-12
 
     def test_converged_run_parks_every_group(self):
@@ -618,7 +661,7 @@ def locked_top_group():
 
 def can_give(cells, k, s):
     """Whether group ``s`` has a positive decrease slope at counts ``k``."""
-    return any(km >= 2 and _dec_slope(cells.cells[m][s], km) > 0.0 for m, km in enumerate(k[:, s]))
+    return any(km >= 2 and dec_slope(cells.cells[m][s], km) > 0.0 for m, km in enumerate(k[:, s]))
 
 
 @st.composite
@@ -760,7 +803,7 @@ class TestOptimizerMatchesReference:
         assert mu0[1] > mu0[2] > 0.5 + 1.0 / (3 * state0.cell_counts[:, 2].min())
         k = state0.cells.covered(table0.r_hat)
         cells = [state0.cells.cells[m][1] for m in range(3)]
-        assert all(km >= 2 and _dec_slope(c, km) == 0.0 for c, km in zip(cells, k[:, 1]))
+        assert all(km >= 2 and dec_slope(c, km) == 0.0 for c, km in zip(cells, k[:, 1]))
         assert (trace.donor_group.tolist(), trace.recipient_group.tolist()) == ([2], [0])
         state = measure_coverage(data, None, table)
         assert state.per_group_mean[1] == mu0[1]
@@ -825,7 +868,7 @@ class TestOptimizerMatchesReference:
         counts, k = state0.cell_counts, state0.cells.covered(table0.r_hat)
         for s in range(data.group_count):
             cells = [state0.cells.cells[m][s] for m in range(m_bins)]
-            dec = [_dec_slope(c, km) if km >= 2 else -math.inf for c, km in zip(cells, k[:, s])]
+            dec = [dec_slope(c, km) if km >= 2 else -math.inf for c, km in zip(cells, k[:, s])]
             column = flat, first[:, s], counts[:, s], k[:, s]
             assert (_MoveStream(*column, True).size == 0) == (max(dec) <= 0.0)
             assert (_MoveStream(*column, False).size == 0) == bool(np.all(k[:, s] == counts[:, s]))
@@ -929,7 +972,7 @@ class TestTraceColumns:
             assert np.all(bin_ <= m_bins)
         assert trace.summary()["iterations"] == steps
         means = [trace.initial_per_group_mean] + [it.per_group_mean for it in trace.iterations]
-        assert trace.gaps() == [max(m) - min(m) for m in means]
+        assert gaps(trace) == [max(m) - min(m) for m in means]
 
     def test_records_are_built_only_when_read(self, monkeypatch):
         from faircov import fair_calibration
@@ -946,7 +989,6 @@ class TestTraceColumns:
         steps = trace.donor_group.size
         assert steps > 0
         trace.summary()
-        trace.gaps()
         assert built == []
         assert len(trace.iterations) == steps
         assert len(built) == steps
@@ -1042,7 +1084,7 @@ def _reference_eoc_optimize(
         best, arg = -np.inf, -1
         for m in range(m_bins):
             if k[m, s] >= 2:
-                slope = _dec_slope(cells[m][s], int(k[m, s]))
+                slope = dec_slope(cells[m][s], int(k[m, s]))
                 if slope > best:
                     best, arg = slope, m
         return best, arg
@@ -1072,7 +1114,7 @@ def _reference_eoc_optimize(
         if s2 >= 0:
             for m in range(m_bins):
                 if k[m, s2] < counts[m, s2]:
-                    slope = _inc_slope(cells[m][s2], int(k[m, s2]), float(thr[m, s2]))
+                    slope = inc_slope(cells[m][s2], int(k[m, s2]), float(thr[m, s2]))
                     if slope < best_inc:
                         best_inc, m2 = slope, m
             assert m2 >= 0, "a recipient is below 1 - alpha, so a cell has room"
@@ -1112,7 +1154,7 @@ def _reference_eoc_optimize(
                             and mu[s] - cell_weight * s_groups / counts[m, s]
                             >= level - eps
                         ):
-                            slope = _dec_slope(cells[m][s], int(k[m, s]))
+                            slope = dec_slope(cells[m][s], int(k[m, s]))
                             if best is None or slope > best[0]:
                                 best = (slope, m, s)
                 if best is None or best[0] <= 0.0:
@@ -1128,13 +1170,13 @@ def _reference_eoc_optimize(
             while reason == CONVERGED:
                 mu = group_means()
                 decs = [
-                    (_dec_slope(cells[m][s], int(k[m, s])), m, s)
+                    (dec_slope(cells[m][s], int(k[m, s])), m, s)
                     for m in range(m_bins)
                     for s in range(s_groups)
                     if k[m, s] >= 2
                 ]
                 incs = [
-                    (_inc_slope(cells[m][s], int(k[m, s]), float(thr[m, s])), m, s)
+                    (inc_slope(cells[m][s], int(k[m, s]), float(thr[m, s])), m, s)
                     for m in range(m_bins)
                     for s in range(s_groups)
                     if k[m, s] < counts[m, s]

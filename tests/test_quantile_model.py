@@ -64,10 +64,16 @@ class TestQuantileLevels:
         with pytest.raises(ValidationError):
             levels.index_of(0.25)
 
-    def test_require_alpha_mismatch(self):
-        levels = QuantileLevels.for_alpha(0.1)
-        with pytest.raises(ValidationError):
-            levels.require_alpha(0.2)
+    def test_band_at_an_alpha_the_grid_lacks(self):
+        model = QuantileModel(
+            weights=np.zeros((3, 1)),
+            bias=np.array([-1.0, 0.0, 1.0]),
+            levels=QuantileLevels.for_alpha(0.1),
+            seed=0,
+            loss_trace=(0.0,),
+        )
+        with pytest.raises(ValidationError, match="not in the configured grid"):
+            model.band(np.zeros((2, 1)), 0.2)
 
 
 class TestPredict:
