@@ -39,7 +39,7 @@ from .fair_calibration import (
     measure_coverage,
 )
 from .intervals import IntervalSet, predict_interval
-from .metrics import EvalReport, evaluate, mpiw, picp, picp_gap, report_to_json
+from .metrics import EvalReport, evaluate, picp_gap, report_to_json
 from .quantile_model import (
     QuantileLevels,
     QuantileModel,
@@ -82,8 +82,6 @@ __all__ = [
     "init_thresholds",
     "load_dataset",
     "measure_coverage",
-    "mpiw",
-    "picp",
     "picp_gap",
     "pinball_grad",
     "pinball_loss",

@@ -7,6 +7,9 @@ label lies exactly on a cut when labels are distinct. Bins are numbered
 which is closed above so the partition tiles the label domain exactly.
 A label's bin is the number of interior cuts at or below it, so a label
 on a cut goes to the bin above the cut.
+
+Every sum over the bins, of a record's piece lengths or of a group's
+coverage rates, is :func:`_bin_sum`: the bins added one after another.
 """
 
 from __future__ import annotations
@@ -122,3 +125,17 @@ def bin_indices(partition: BinPartition, labels) -> np.ndarray:
     for cut in partition.bounds[1:-1]:
         index += np.greater_equal(y, cut, out=above)
     return index.astype(np.int64)
+
+
+def _bin_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over axis 0: ``0.0 + rows[0]``, then each later row added in turn.
+
+    The bins' one summation order. Numpy's own axis-0 sum is not one
+    order: it adds the rows in turn, but a one-column table pairwise; the
+    builtin ``sum`` compensates from Python 3.12 on. Starting from 0.0
+    makes a zero sum +0.0, whatever its terms' signs.
+    """
+    total = 0.0 + rows[0]
+    for row in rows[1:]:
+        total += row
+    return total

@@ -78,10 +78,10 @@ def _sha256(path: str) -> str:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' starts a comment line."""
+    """Parse a flat key=value UTF-8 config file; '#' starts a comment line."""
     config: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -164,9 +164,9 @@ def _resolve(args, config: dict, key: str, cast, default=None, required: bool = 
 
 
 def _load_artifact(path: str, kind: str, parse):
-    """Read a JSON artifact; any shape ``parse`` cannot use is a ValidationError."""
+    """Read a UTF-8 JSON artifact; any shape ``parse`` cannot use is a ValidationError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot open {kind} file {path!r}: {exc}") from None
@@ -207,7 +207,7 @@ def _load_data(o, path: str, group_count: int | None = None):
 
 
 def _write_text(o, name: str, text: str) -> None:
-    with open(_out(o, name), "w") as fh:
+    with open(_out(o, name), "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
 
@@ -278,7 +278,7 @@ def cmd_evaluate(o) -> None:
     test = _load_data(o, o.data, group_count)
     model = _load_model(o)
     predictions = _out(o, "predictions.csv")
-    fh = open(predictions, "w", newline="")
+    fh = open(predictions, "w", newline="", encoding="utf-8")
     try:
         with fh:
             report = evaluate(test, model, calibrator, fh)
@@ -314,9 +314,9 @@ def cmd_compare(o) -> None:
         report = evaluate(test, model, calibrator)
         rows.append(comparison_row(method, report))
         _write_text(o, f"report_{method}.json", report_to_json(report))
-    with open(_out(o, "comparison.csv"), "w", newline="") as fh:
+    with open(_out(o, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    with open(_out(o, "comparison.txt"), "w") as fh:
+    with open(_out(o, "comparison.txt"), "w", encoding="utf-8") as fh:
         fh.write(_aligned_table(rows))
 
 
@@ -349,7 +349,7 @@ def cmd_sweep_m(o) -> None:
                 trace.termination_reason,
             ]
         )
-    with open(_out(o, "sweep.csv"), "w", newline="") as fh:
+    with open(_out(o, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -416,7 +416,7 @@ COMMANDS: dict[str, Command] = {
         cmd_sweep_m,
         "vary the bin count on a split of the calibration data",
         ("data", "model", "m_values", "alpha", "label_domain", "attribute_col"),
-        required=("data", "model"),
+        required=("data",),
     ),
 }
 
@@ -477,7 +477,7 @@ def _run(args, config) -> None:
         },
         "timings": {"total_seconds": time.perf_counter() - started, **o.timings},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

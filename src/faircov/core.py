@@ -276,7 +276,7 @@ def load_dataset(
     schema: dict[str, str] | None = None,
     group_count: int | None = None,
 ) -> Dataset:
-    """Load a CSV dataset.
+    """Load a CSV dataset, read as UTF-8 after any byte-order mark.
 
     The file must carry id, label, and group columns, optionally quantile
     bound columns and feature columns named ``x0..x{d-1}``. ``schema`` maps
@@ -295,7 +295,7 @@ def load_dataset(
     if schema:
         names.update(schema)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot open dataset file {path!r}: {exc}") from None
     with fh:
@@ -395,7 +395,7 @@ def write_dataset(dataset: Dataset, path: str) -> None:
         columns += list(dataset.features.T)
     # .tolist() gives Python floats and ints: repr of each is the text of the numpy value
     row = ",".join(["{}", "{!r}", "{}", *["{!r}"] * (len(columns) - 3)]) + "\r\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, dataset.n, _READ_BLOCK):
             ids, *rest = (column[lo : lo + _READ_BLOCK].tolist() for column in columns)

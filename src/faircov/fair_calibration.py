@@ -27,13 +27,11 @@ donor can give, the recipients take lone adds in the same run; a run
 with no recipients takes the donors' lone drops. Single moves, picked
 from the slope tables read off the counts, remain for the width cleanup.
 
-A group's mean is its bins' coverage rates added in bin order, then
-divided by M: numpy's axis-0 reduction of the C-ordered (M, S) rates
-after a single move, the same additions row by row, with
-``reduce(add)``, over a stream's (M, moves) rates in a run. Numpy's sum
-of a single column, (M, 1), adds partial sums instead, and the builtin
-``sum`` compensates from Python 3.12 on. The means decide tie breaks and
-go into the trace, so their last bit is part of the output.
+A group's mean is its bins' coverage rates added in bin order by
+:func:`~faircov.binning._bin_sum`, then divided by M: over the (M, S)
+rates of a coverage state or after a single move, and over a stream's
+(M, moves) rates in a run. The means decide tie breaks and go into the
+trace, so their last bit is part of the output.
 
 The :class:`OptimizerTrace` holds the moves as columns. Every move is
 written as a block of float64 trace rows, a run's from the arrays it
@@ -52,12 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 
 import numpy as np
 
-from .binning import BinPartition, bin_indices, equal_mass_bins
+from .binning import BinPartition, _bin_sum, bin_indices, equal_mass_bins
 from .conformal import band_columns, conformity_scores, cqr_calibrate, empirical_quantile
 from .core import Dataset, EmptyCellError, ValidationError
 from .intervals import band_pieces, union_widths
@@ -173,7 +170,7 @@ class CellScores:
     def coverage(self, r_hat: np.ndarray) -> "CoverageState":
         """Share of each cell's scores at or below its threshold."""
         beta = self.covered(r_hat) / self.counts
-        return CoverageState(beta=beta, per_group_mean=beta.mean(axis=0), cells=self)
+        return CoverageState(beta=beta, per_group_mean=_bin_sum(beta) / beta.shape[0], cells=self)
 
 
 @dataclass(frozen=True)
@@ -382,7 +379,7 @@ class _MoveStream:
     def __init__(self, flat, first, sizes, k, drop: bool):
         self.sizes = sizes
         self.k_end = k.copy()  # covered counts at state mu.size - 1
-        self.mu = reduce(add, (k / sizes)[:, None]) / sizes.size
+        self.mu = _bin_sum((k / sizes)[:, None]) / sizes.size
         size = sizes[:, None]
         if drop:
             # row m: the bin's covered scores from the top, then its
@@ -426,15 +423,14 @@ class _MoveStream:
             self._extend(min(self.size + 1, have + 256))
 
     def _extend(self, upto: int) -> None:
-        # states mu.size .. upto-1; a group mean adds its bins in order, as
-        # eoc_optimize's axis-0 reduction of the (M, S) rates does
+        # states mu.size .. upto-1
         moves = np.arange(self.mu.size - 1, upto - 1)
         d = np.zeros((self.sizes.size, moves.size), dtype=np.int64)
         d[self.bins[moves], np.arange(moves.size)] = self.deltas[moves]
         k = np.cumsum(d, axis=1)
         k += self.k_end[:, None]
         self.k_end = k[:, -1]
-        self.mu = np.concatenate((self.mu, reduce(add, k / self.sizes[:, None]) / self.sizes.size))
+        self.mu = np.concatenate((self.mu, _bin_sum(k / self.sizes[:, None]) / self.sizes.size))
 
 
 def eoc_optimize(
@@ -491,7 +487,7 @@ def eoc_optimize(
     cell (m, s) from ``first[m, s]`` on, so its threshold is
     ``flat[first + k]``, its slopes are ``flat``'s spacings per record on
     either side of that entry, and the group means are
-    ``np.add.reduce(k / counts, axis=0) / M``. Ties go to the
+    ``_bin_sum(k / counts) / M``. Ties go to the
     first cell in bin-major order. After the loop converges, a width
     cleanup alternates two greedy passes until neither moves: a trim pass
     sheds covered records the floors do not need, widest spacing first,
@@ -566,9 +562,7 @@ def eoc_optimize(
         return np.where(k < counts, spacing[first + k], np.inf)
 
     def means() -> list[float]:
-        # bins added in order: k stays C-ordered, so the axis-0 reduction
-        # adds the rows one by one
-        return (np.add.reduce(k / counts, axis=0) / m_bins).tolist()
+        return (_bin_sum(k / counts) / m_bins).tolist()
 
     band = 1.0 / counts.min(axis=0)  # documented tolerance per group
     # Park each group in the one-sided window [target, target + stop],

@@ -8,8 +8,9 @@ depends on the record's group and the bin. Only the kernel
 C-ordered ``(M, n)`` arrays, one contiguous row per bin, so every compare
 and mask runs along records; a caller walking records in blocks can hand
 the kernel the same two buffers for every block. :func:`union_widths`
-adds each record's piece lengths in numpy's pairwise order, so a width
-has the bits of ``np.add.reduce`` over that record's lengths.
+adds each record's piece lengths over the bins one after another, the
+order every sum over bins takes, so a record's width does not depend on
+the block it is in.
 :func:`union_covered` tests each label against its own bin's band only
 (and the bin below's when the label sits on a cut), so it reads the band
 columns and the label bins, not the pieces. Components touching at a bin
@@ -26,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .binning import _bin_sum
 from .core import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
@@ -156,54 +158,19 @@ def predict_interval(
     return IntervalSet.from_pieces(list(zip(a[:, 0].tolist(), b[:, 0].tolist())), fallback)
 
 
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    """Each column's sum over the rows, added in numpy's pairwise order.
-
-    ``np.add.reduce`` of one contiguous column adds under 8 values left to
-    right; 8 to 128 values in eight running sums, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the rest in order; and
-    more by splitting at half the count, rounded down to a multiple of 8.
-    Here each step adds whole rows, so every column gets that order. The
-    sum is built in ``rows``, which it overwrites; it returns a view of
-    its first row. A zero sum's sign may differ from numpy's.
-    """
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_rows(rows[:half])
-        total += _pairwise_rows(rows[half:])
-        return total
-    total = rows[0]
-    if n < 8:
-        for row in rows[1:]:
-            total += row
-        return total
-    stop = n - n % 8
-    sums = rows[:8]
-    for i in range(8, stop, 8):
-        sums += rows[i : i + 8]
-    sums[0::2] += sums[1::2]
-    sums[0::4] += sums[2::4]
-    total += sums[4]
-    for row in rows[stop:]:
-        total += row
-    return total
-
-
 def union_widths(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union widths of the :func:`band_pieces` pair ``(a, b)``.
 
     Returns ``(width, has_piece)`` arrays over records. The width is the
-    sum of the per-bin piece lengths, with the bits of ``np.add.reduce``
-    over each record's lengths; it can differ from the merged union's
-    :meth:`IntervalSet.total_width` in the last bit. The lengths are
-    written into ``b``, so read anything else from the pair first.
+    sum of the per-bin piece lengths, added bin after bin; it can differ
+    from the merged union's :meth:`IntervalSet.total_width` in the last
+    bit. The lengths are written into ``b``, so read anything else from
+    the pair first.
     """
     length = np.subtract(b, a, out=b)
     has_piece = (length >= 0.0).any(axis=0)
     np.maximum(0.0, length, out=length)  # keeps a -0.0 length, as a >= 0 mask does
-    # numpy's reduction starts from 0.0, so a zero sum is +0.0 whatever its terms' signs
-    return 0.0 + _pairwise_rows(length), has_piece
+    return _bin_sum(length), has_piece
 
 
 def union_covered(
@@ -268,12 +235,8 @@ def union_components(
     start = a[first, record]
     end = running_end[last, record]
     count = opens.sum(axis=0)
-    # lengths added left to right from 0.0, as total_width does; numpy's own
-    # sum would add a one-record block's column pairwise
+    # lengths added left to right from 0.0, as total_width does
     position = np.arange(record.size) - np.repeat(np.cumsum(count) - count, count)
     lengths = np.zeros((m_bins, n))
     lengths[position, record] = end - start
-    width = np.zeros(n)
-    for row in lengths[: count.max(initial=0)]:
-        width += row
-    return count, start, end, width
+    return count, start, end, _bin_sum(lengths)

@@ -21,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinPartition, bin_indices
+from .binning import BinPartition, _bin_sum, bin_indices
 from .conformal import GlobalThreshold, band_columns
 from .core import Dataset, ValidationError, _check_ids, _csv_ids
 from .fair_calibration import ThresholdTable
-from .intervals import IntervalSet, band_pieces, union_components, union_covered, union_widths
+from .intervals import band_pieces, union_components, union_covered, union_widths
 from .quantile_model import QuantileModel
 
 __all__ = [
-    "picp",
-    "mpiw",
     "picp_gap",
     "mae",
     "rmse",
@@ -40,26 +38,6 @@ __all__ = [
     "comparison_header",
     "comparison_row",
 ]
-
-
-def picp(predictions: list[IntervalSet], labels) -> float:
-    """Fraction of labels falling inside their prediction sets."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if len(predictions) == 0:
-        raise ValidationError("cannot score an empty test set")
-    if len(predictions) != labels.size:
-        raise ValidationError(
-            f"got {len(predictions)} predictions for {labels.size} labels"
-        )
-    hits = sum(1 for pred, y in zip(predictions, labels) if pred.contains(float(y)))
-    return hits / labels.size
-
-
-def mpiw(predictions: list[IntervalSet]) -> float:
-    """Mean total width; fallback singletons count as zero."""
-    if len(predictions) == 0:
-        raise ValidationError("cannot score an empty test set")
-    return sum(pred.total_width() for pred in predictions) / len(predictions)
 
 
 def picp_gap(per_group_picp) -> float:
@@ -92,8 +70,10 @@ class EvalReport:
 
     ``bin_coverage`` holds NaN for (bin, group) cells with no test
     records; ``per_group_bin_mean`` averages the non-empty bins, the
-    optimizer's view of coverage. Groups absent from the test split get
-    NaN coverage and are excluded from the gap.
+    optimizer's view of coverage: its bins are added in the optimizer's
+    order, so on the calibration split it equals the optimizer's group
+    means bit for bit. Groups absent from the test split get NaN
+    coverage and are excluded from the gap.
     """
 
     alpha: float
@@ -169,13 +149,13 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, out=None) -
 
     A text file ``out``, opened with ``newline=""``, gets
     ``predictions.csv`` in the same walk: a header, then one row per
-    record with its id, group, the text of its :class:`IntervalSet`, its
-    fallback point when it has no component, covered, and the merged
-    union's width. Each block's rows are made by one format string per
-    row and written at once; ids are quoted as ``csv.writer`` quotes
-    them, and an id holding NUL is refused before the header. The report
-    reads the per-record arrays of the whole walk, so no figure depends
-    on the block.
+    record with its id, group, the text of its
+    :class:`~faircov.intervals.IntervalSet`, its fallback point when it
+    has no component, covered, and the merged union's width. Each
+    block's rows are made by one format string per row and written at
+    once; ids are quoted as ``csv.writer`` quotes them, and an id holding
+    NUL is refused before the header. The report reads the per-record
+    arrays of the whole walk, so no figure depends on the block.
     """
     if test.n == 0:
         raise ValidationError("cannot score an empty test set")
@@ -236,9 +216,8 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, out=None) -
         bin_coverage = np.where(bin_counts > 0, bin_hits / np.maximum(bin_counts, 1), np.nan)
     bin_coverage.setflags(write=False)
     bin_counts.setflags(write=False)
-    # the mean of each group's non-empty bins, as np.nanmean adds a contiguous column
-    filled = np.where(bin_counts > 0, bin_coverage, 0.0)
-    bin_sums = np.ascontiguousarray(filled.T).sum(axis=1)
+    # the mean of each group's non-empty bins, added in bin order as the optimizer adds them
+    bin_sums = _bin_sum(np.where(bin_counts > 0, bin_coverage, 0.0))
     nonempty = (bin_counts > 0).sum(axis=0)
     per_group_bin_mean = tuple(
         np.where(group_counts > 0, bin_sums / np.maximum(nonempty, 1), np.nan).tolist()

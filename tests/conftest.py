@@ -14,7 +14,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# The optimizer's properties with a larger budget, for a CI job of its own:
+# The optimizer's, the intervals' and the predictions' properties with a larger
+# budget, for a CI job of its own:
 # pytest tests/test_fair_calibration.py --hypothesis-profile thorough
 settings.register_profile(
     "thorough",

@@ -443,16 +443,74 @@ class TestFloorCheck:
         assert missed_floors(cal, None, table) == ["pooled covered count 14 < 16"]
 
 
-class TestConfigFile:
-    def write_inputs(self, tmp_path):
-        y = np.linspace(1.0, 9.0, 20)
-        data = make_dataset(y, [0] * 20, q_lo=y - 1.0, q_hi=y + 1.0)
-        path = str(tmp_path / "cal.csv")
-        write_dataset(data, path)
-        return path
+def write_band_csv(tmp_path):
+    """A 20-record one-group CSV on [0, 10] that carries its own band."""
+    y = np.linspace(1.0, 9.0, 20)
+    data = make_dataset(y, [0] * 20, q_lo=y - 1.0, q_hi=y + 1.0)
+    path = str(tmp_path / "cal.csv")
+    write_dataset(data, path)
+    return path
 
+
+def with_byte_order_mark(path, tmp_path):
+    """A copy of ``path`` that starts with the UTF-8 byte-order mark."""
+    marked = tmp_path / ("bom_" + os.path.basename(path))
+    with open(path, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    return str(marked)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a text input is skipped."""
+
+    def calibrate(self, tmp_path, name, data, *flags):
+        out = str(tmp_path / name)
+        argv = ["calibrate", "--out-dir", out, "--data", data, "--method", "cqr", *flags]
+        assert main(argv) == 0
+        with open(os.path.join(out, "calibrator.json"), "rb") as fh:
+            return fh.read()
+
+    def test_csv(self, tmp_path):
+        cal = write_band_csv(tmp_path)
+        domain = ("--label-domain", "0,10")
+        marked = self.calibrate(tmp_path, "marked", with_byte_order_mark(cal, tmp_path), *domain)
+        assert marked == self.calibrate(tmp_path, "plain", cal, *domain)
+
+    def test_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed=3\nn=40\n")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--out-dir", out, "--config", str(cfg)]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            config = json.load(fh)["config"]
+        assert (config["seed"], config["n"]) == (3, 40)
+
+    def test_model(self, pipeline, tmp_path):
+        model = os.path.join(pipeline, "model.json")
+        cal = os.path.join(pipeline, "cal.csv")
+        marked_model = with_byte_order_mark(model, tmp_path)
+        marked = self.calibrate(tmp_path, "marked", cal, "--model", marked_model)
+        assert marked == self.calibrate(tmp_path, "plain", cal, "--model", model)
+
+
+class TestSweepWithoutModel:
+    def test_band_columns_stand_in_for_a_model(self, tmp_path):
+        out = str(tmp_path / "out")
+        argv = ["sweep-m", "--out-dir", out, "--data", write_band_csv(tmp_path),
+                "--label-domain", "0,10", "--m-values", "1,2"]
+        assert main(argv) == 0
+        assert [row[0] for row in read_rows(os.path.join(out, "sweep.csv"))] == ["M", "1", "2"]
+
+    def test_no_band_and_no_model_exits_one(self, pipeline, tmp_path, capsys):
+        argv = ["sweep-m", "--out-dir", str(tmp_path / "out"),
+                "--data", os.path.join(pipeline, "cal.csv"), "--m-values", "1,2"]
+        assert main(argv) == 1
+        assert "no quantile bound columns and no model" in capsys.readouterr().err
+
+
+class TestConfigFile:
     def test_flag_beats_config(self, tmp_path):
-        cal = self.write_inputs(tmp_path)
+        cal = write_band_csv(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"method=cqr\nalpha=0.5\ndata={cal}\nlabel-domain=0,10\n")
         out = str(tmp_path / "flagged")
@@ -461,7 +519,7 @@ class TestConfigFile:
             assert json.load(fh)["alpha"] == 0.2
 
     def test_config_fills_missing_flags(self, tmp_path):
-        cal = self.write_inputs(tmp_path)
+        cal = write_band_csv(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"method=cqr\nalpha=0.5\ndata={cal}\nlabel-domain=0,10\n")
         out = str(tmp_path / "config_only")
@@ -478,7 +536,7 @@ class TestConfigFile:
         assert "key=value" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, tmp_path):
-        cal = self.write_inputs(tmp_path)
+        cal = write_band_csv(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\n\nmethod=cqr\ndata={cal}\nlabel-domain=0,10\n")
         out = str(tmp_path / "commented")
@@ -719,7 +777,7 @@ REQUIRED = {
     "calibrate": ["--data", "unused.csv"],
     "evaluate": ["--data", "unused.csv", "--calibrator", "unused.json"],
     "compare": ["--cal", "unused.csv", "--test", "unused.csv"],
-    "sweep-m": ["--data", "unused.csv", "--model", "unused.json"],
+    "sweep-m": ["--data", "unused.csv"],
 }
 
 

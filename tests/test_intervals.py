@@ -141,39 +141,29 @@ class TestBandPieces:
         np.testing.assert_array_equal(r_hat, [[1.0, -3.0], [-3.0, 1.0]])
 
 
+def bin_order_widths(lengths):
+    """Each column's sum over the rows, added in Python floats from 0.0 in row order."""
+    widths = []
+    for column in np.asarray(lengths).T.tolist():
+        width = 0.0
+        for length in column:
+            width += max(length, 0.0)
+        widths.append(width)
+    return np.array(widths)
+
+
 class TestBandLayout:
-    """The report's widths keep their bits through the pieces' layout.
+    """The widths add each record's piece lengths bin after bin.
 
     ``band_pieces`` returns C-ordered arrays, one contiguous row per bin,
-    and ``union_widths`` adds each record's lengths in numpy's pairwise
-    order across the rows: the bits of ``np.add.reduce`` over that
-    record's contiguous column. A plain row-by-row sum would change some
-    widths in the last bit.
+    and ``union_widths`` adds the rows one after another from 0.0: the
+    order the optimizer's group means and the report's bin means take, so
+    a record's width does not depend on the block it is in.
     """
 
-    @pytest.mark.parametrize("m_bins", [8, 16, 33])
-    def test_widths_add_each_record_column_on_its_own(self, m_bins):
-        rng = np.random.default_rng(m_bins)
-        n, s_groups = 2000, 3
-        bounds = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 63.0, m_bins - 1)), [63.0]))
-        q_lo = rng.uniform(-5.0, 60.0, n)
-        q_hi = q_lo + rng.uniform(0.0, 20.0, n)
-        group = rng.integers(0, s_groups, n)
-        r_hat = rng.uniform(-2.0, 8.0, (m_bins, s_groups))
-        a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
-        assert a.shape == b.shape == (m_bins, n)
-        assert a.flags.c_contiguous and b.flags.c_contiguous
-        lengths = b - a
-        lengths[lengths < 0.0] = 0.0
-        width, _ = union_widths(a, b)
-        want = np.array([np.add.reduce(np.ascontiguousarray(lengths[:, i])) for i in range(n)])
-        assert width.tobytes() == want.tobytes()
-        # row-by-row addition differs somewhere, so the layout shows
-        assert np.any(np.add.reduce(np.ascontiguousarray(lengths), axis=0) != want)
-
-    def test_pairwise_order_for_every_bin_count(self):
-        # under 8 rows, 8 to 128 and over 128 take numpy's three branches;
-        # the lengths hold zeros, ties, -0.0 and an all-zero record
+    def test_bin_order_for_every_bin_count(self):
+        # the lengths hold zeros, ties, -0.0 and an all-zero record; from 8
+        # rows on, numpy's own column sum takes another order
         rng = np.random.default_rng(0)
         lengths = rng.choice([0.0, 0.1, 0.2, 1.0 / 3.0], size=(300, 12))
         lengths[:, :6] = rng.uniform(0.0, 10.0, (300, 6))
@@ -184,9 +174,46 @@ class TestBandLayout:
         for m_bins in range(1, 301):
             b = lengths[:m_bins].copy()
             width, has_piece = union_widths(np.zeros_like(b), b)
-            want = [np.add.reduce(np.ascontiguousarray(column)) for column in lengths[:m_bins].T]
-            assert width.tobytes() == np.array(want).tobytes(), m_bins
+            assert width.tobytes() == bin_order_widths(lengths[:m_bins]).tobytes(), m_bins
             assert has_piece.all()
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.data())
+    def test_widths_do_not_depend_on_the_block(self, m_bins, n, data):
+        values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.2, -1.0]), st.floats(-5.0, 50.0))
+        lengths = np.array(
+            data.draw(st.lists(values, min_size=m_bins * n, max_size=m_bins * n))
+        ).reshape(m_bins, n)
+        width, has_piece = union_widths(np.zeros_like(lengths), lengths.copy())
+        assert width.tobytes() == bin_order_widths(lengths).tobytes()
+        assert has_piece.tolist() == (lengths >= 0.0).any(axis=0).tolist()
+        for i in range(n):
+            alone, _ = union_widths(np.zeros((m_bins, 1)), lengths[:, i : i + 1].copy())
+            assert alone.tobytes() == width[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("m_bins", [8, 16, 33])
+    def test_widths_add_each_record_column_on_its_own(self, m_bins):
+        # a one-record block gives each record the bits the wide block does
+        rng = np.random.default_rng(m_bins)
+        n, s_groups = 2000, 3
+        bounds = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 63.0, m_bins - 1)), [63.0]))
+        q_lo = rng.uniform(-5.0, 60.0, n)
+        q_hi = q_lo + rng.uniform(0.0, 20.0, n)
+        group = rng.integers(0, s_groups, n)
+        r_hat = rng.uniform(-2.0, 8.0, (m_bins, s_groups))
+        a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
+        assert a.shape == b.shape == (m_bins, n)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        lengths = np.maximum(b - a, 0.0)
+        width, _ = union_widths(a, b)
+        alone = np.empty(n)
+        for i in range(n):
+            one = slice(i, i + 1)
+            alone[one], _ = union_widths(*band_pieces(q_lo[one], q_hi[one], group[one], r_hat, bounds))
+        assert width.tobytes() == alone.tobytes()
+        # numpy adds a one-column table pairwise, so the two orders differ
+        # somewhere here: a width summed by np.add.reduce would fail
+        pairwise = np.array([np.add.reduce(lengths[:, i : i + 1], axis=0)[0] for i in range(n)])
+        assert np.any(pairwise != width)
 
     def test_buffers_take_the_pieces(self):
         r_hat = np.array([[1.0, -3.0], [-3.0, 1.0]])
@@ -216,6 +243,12 @@ class TestIntervalSet:
     def test_constructor_rejects_overlap(self):
         with pytest.raises(ValidationError, match="disjoint"):
             IntervalSet(components=((1.0, 3.0), (3.0, 4.0)))
+
+    def test_fallback_point_and_two_components(self):
+        point = IntervalSet.from_pieces([], fallback=3.0)
+        assert point.contains(3.0) and not point.contains(3.0001)
+        assert point.total_width() == 0.0
+        assert IntervalSet.from_pieces([(0.0, 1.0), (4.0, 6.0)]).total_width() == 3.0
 
     def test_total_width_adds_left_to_right(self):
         # lengths 0.1, 0.2 and 0.3: added in order they round to

@@ -9,70 +9,73 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faircov import (
+    BinPartition,
     GlobalThreshold,
-    IntervalSet,
     ThresholdTable,
     ValidationError,
     equal_mass_bins,
     evaluate,
+    fair_calibrate,
     measure_coverage,
-    mpiw,
-    picp,
     picp_gap,
     predict_interval,
     report_to_json,
 )
 from faircov.metrics import comparison_header, comparison_row, mae, rmse
 
-from conftest import make_dataset, six_record_fixture  # noqa: F401
+from conftest import make_dataset, six_record_fixture, synthetic_with_band  # noqa: F401
 
 
-def box(a, b):
-    return IntervalSet.from_pieces([(a, b)])
+def band_report(y, q_lo, q_hi, r_hat=0.0, table=None):
+    """``evaluate``'s report of one-group records on the domain [0, 10].
 
-
-def point(p):
-    return IntervalSet.from_pieces([], fallback=p)
+    Each band is shifted by the global ``r_hat``, or by ``table``'s cells.
+    """
+    data = make_dataset(y, [0] * len(y), q_lo=q_lo, q_hi=q_hi)
+    if table is None:
+        table = GlobalThreshold(method="cqr", alpha=0.1, r_hat=r_hat, n_cal=len(y))
+    return evaluate(data, None, table)
 
 
 class TestPicp:
+    """The report's PICP: the share of labels inside their prediction sets."""
+
     def test_nine_of_ten(self):
-        preds = [box(0.0, 2.0)] * 10
-        labels = [1.0] * 9 + [5.0]
-        assert picp(preds, labels) == 0.9
+        assert band_report([1.0] * 9 + [5.0], [0.0] * 10, [2.0] * 10).picp_overall == 0.9
 
     def test_all_and_none(self):
-        assert picp([box(0.0, 2.0)] * 4, [1.0] * 4) == 1.0
-        assert picp([box(0.0, 2.0)] * 4, [5.0] * 4) == 0.0
+        assert band_report([1.0] * 4, [0.0] * 4, [2.0] * 4).picp_overall == 1.0
+        assert band_report([5.0] * 4, [0.0] * 4, [2.0] * 4).picp_overall == 0.0
 
     def test_fallback_point_hit_and_miss(self):
-        assert picp([point(3.0)], [3.0]) == 1.0
-        assert picp([point(3.0)], [3.0001]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            picp([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            picp([box(0.0, 1.0)], [1.0, 2.0])
+        # the shift empties the band [2.5, 3.5], leaving its midpoint 3.0
+        hit = band_report([3.0], [2.5], [3.5], r_hat=-1.0)
+        assert hit.fallback_count == 1 and hit.picp_overall == 1.0
+        assert band_report([3.0001], [2.5], [3.5], r_hat=-1.0).picp_overall == 0.0
 
 
 class TestMpiw:
+    """The report's MPIW: the mean union width, a fallback point counting zero."""
+
     def test_mean_of_widths(self):
-        assert mpiw([box(0.0, 2.0), box(1.0, 5.0)]) == 3.0
+        assert band_report([1.0, 2.0], [0.0, 1.0], [2.0, 5.0]).mpiw_overall == 3.0
 
     def test_fallback_counts_zero(self):
-        assert mpiw([point(3.0)]) == 0.0
-        assert mpiw([point(3.0), box(0.0, 10.0)]) == 5.0
+        assert band_report([3.0], [2.5], [3.5], r_hat=-1.0).mpiw_overall == 0.0
+        # the second band shrinks onto the whole domain
+        report = band_report([3.0, 3.0], [2.5, -1.0], [3.5, 11.0], r_hat=-1.0)
+        assert report.mpiw_overall == 5.0
 
     def test_multi_component_width_adds_up(self):
-        iv = IntervalSet.from_pieces([(0.0, 1.0), (4.0, 6.0)])
-        assert mpiw([iv]) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mpiw([])
+        # an emptied middle bin splits the band [1, 6] into [1, 2] and [4, 6]
+        table = ThresholdTable(
+            r_hat=np.array([[0.0], [-5.0], [0.0]]),
+            global_r_hat=0.0,
+            alpha=0.1,
+            partition=BinPartition(bounds=(0.0, 2.0, 4.0, 10.0), counts=(1, 1, 1)),
+            group_count=1,
+        )
+        assert band_report([1.5], [1.0], [6.0], table=table).mpiw_overall == 3.0
 
 
 class TestPicpGap:
@@ -157,14 +160,22 @@ class TestEvaluate:
         assert recovered == pytest.approx(report.covered_total)
 
     def test_bin_coverage_matches_calibration_view(self, six_record_fixture):
-        # evaluating the calibration split reproduces the optimizer's cells
-        data = six_record_fixture
-        table = self.table(data)
-        report = evaluate(data, None, table)
-        state = measure_coverage(data, None, table)
-        np.testing.assert_array_equal(report.bin_coverage, state.beta)
-        np.testing.assert_array_equal(report.bin_counts, state.cell_counts)
-        assert report.per_group_bin_mean == tuple(state.per_group_mean)
+        # evaluating the calibration split reproduces the optimizer's cells,
+        # and its bin means are the optimizer's final means bit for bit; a
+        # single group keeps its seed means
+        cases = [(six_record_fixture, self.table(six_record_fixture), None)]
+        for noise, m_bins in (((1.0, 3.0, 5.0), 8), ((1.0, 3.0, 5.0), 16), ((2.0,), 32)):
+            data, _ = synthetic_with_band(3000, noise, seed=m_bins)
+            table, trace = fair_calibrate(data, None, m_bins, 0.1)
+            final = trace.per_group_mean[-1] if trace.per_group_mean.size else trace.initial_per_group_mean
+            cases.append((data, table, tuple(np.asarray(final).tolist())))
+        for data, table, final in cases:
+            report = evaluate(data, None, table)
+            state = measure_coverage(data, None, table)
+            np.testing.assert_array_equal(report.bin_coverage, state.beta)
+            np.testing.assert_array_equal(report.bin_counts, state.cell_counts)
+            assert report.per_group_bin_mean == tuple(state.per_group_mean)
+            assert final is None or report.per_group_bin_mean == final
 
     def test_constant_table_matches_global_threshold(self, six_record_fixture):
         data = six_record_fixture

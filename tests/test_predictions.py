@@ -77,15 +77,19 @@ def reference_csv(test, model, calibrator) -> str:
 def reference_union_widths(q_lo, q_hi, group, r_hat, bounds):
     """Widths as evaluate computed them with a kernel call of their own.
 
-    Each record's lengths are added by ``np.add.reduce`` as one contiguous
-    column, whatever the layout of the pieces.
+    Each record's lengths are added bin after bin from 0.0, in Python
+    floats, whatever the layout of the pieces.
     """
     a, b = band_pieces(q_lo, q_hi, group, r_hat, bounds)
     length = np.subtract(b, a, out=b)
     valid = length >= 0.0
-    columns = np.where(valid, length, 0.0).T
-    width = np.array([np.add.reduce(np.ascontiguousarray(column)) for column in columns])
-    return width, valid.any(axis=0)
+    widths = []
+    for column in np.where(valid, length, 0.0).T.tolist():
+        width = 0.0
+        for piece in column:
+            width += piece
+        widths.append(width)
+    return np.array(widths), valid.any(axis=0)
 
 
 def reference_union_covered(q_lo, q_hi, y, group, r_hat, bounds, fallback):
