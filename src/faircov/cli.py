@@ -94,6 +94,8 @@ def _load_config(path: str) -> dict[str, str]:
                 config[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise ValidationError(f"cannot open config file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path!r} is not UTF-8: {exc.reason}") from None
     return config
 
 
@@ -170,6 +172,8 @@ def _load_artifact(path: str, kind: str, parse):
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot open {kind} file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{kind} file {path!r} is not UTF-8: {exc.reason}") from None
     try:
         return parse(text)
     except (LookupError, TypeError, ValueError) as exc:

@@ -263,11 +263,13 @@ def _check_rows(rows, first_row: int, width: int, fields) -> None:
 
 @contextlib.contextmanager
 def _csv_errors(reader, path: str):
-    """Turn a row ``csv`` cannot parse into a ValidationError naming its line."""
+    """Turn a row ``csv`` cannot parse, or text that is not UTF-8, into a ValidationError."""
     try:
         yield
     except csv.Error as exc:
         raise ValidationError(f"cannot parse {path!r} at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"dataset file {path!r} is not UTF-8: {exc.reason}") from None
 
 
 def load_dataset(

@@ -304,8 +304,15 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "feature_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValidationError(f"sample count must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         probs = tuple(float(p) for p in self.group_probs)
         object.__setattr__(self, "group_probs", probs)
         if not probs or any(not 0.0 <= p <= 1.0 for p in probs):  # NaN fails too
@@ -354,7 +361,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a synthetic dataset with group-dependent noise.
 
     All randomness flows from ``spec.seed``; repeated calls reproduce the
-    same records bit for bit.
+    same records bit for bit. Record ``i`` has the id ``"s"`` plus ``i``
+    zero-padded to 6 digits (``"s000042"``); indices past 999,999 take
+    their own width. The ids' dtype is ``U7`` up to ``n = 10**6`` and
+    ``U{1 + len(str(n - 1))}`` above it.
     """
     w, intercept = signal_coefficients(spec)
     _, rng = _spawn_rngs(spec.seed)
@@ -365,9 +375,21 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     eps = rng.standard_normal(spec.n) * scales
     lo, hi = spec.label_domain
     y = np.clip(intercept + x @ w + eps, lo, hi)
-    # "s%06d", built at its final width: astype(str) would pass through <U21
-    digits = np.arange(spec.n).astype(f"U{len(str(spec.n - 1))}")
-    ids = np.char.add("s", np.char.zfill(digits, 6))
+    # "s%06d" written as code points into the final array: indices below
+    # 10**6 take 6 digits, those in [10**(d-1), 10**d) take d, and an id
+    # shorter than the array's width keeps its NUL padding
+    width = max(6, len(str(spec.n - 1)))
+    ids = np.zeros(spec.n, dtype=f"U{1 + width}")
+    points = ids.view(np.uint32).reshape(spec.n, 1 + width)
+    points[:, 0] = ord("s")
+    for d in range(6, width + 1):
+        start = 0 if d == 6 else 10 ** (d - 1)
+        stop = min(10 ** d, spec.n)
+        rest = np.arange(start, stop, dtype=np.uint32)
+        digit = np.empty_like(rest)
+        for column in range(d, 0, -1):
+            np.divmod(rest, 10, out=(rest, digit))
+            np.add(digit, ord("0"), out=points[start:stop, column])
     return Dataset(
         ids=ids,
         y=y,

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import csv
+import hashlib
 import json
 import math
 import os
@@ -79,6 +80,21 @@ class TestPipeline:
             rows = read_rows(os.path.join(pipeline, name))
             sizes[name] = len(rows) - 1
         assert sizes == {"train.csv": 160, "cal.csv": 80, "test.csv": 80}
+
+    def test_simulate_bytes_are_pinned(self, tmp_path):
+        # every byte of the ids, labels, features and splits is part of the
+        # generator's contract: a seed reproduces the same files
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--out-dir", out, "--n", "3000", "--seed", "7"]) == 0
+        digests = {}
+        for name in ("train.csv", "cal.csv", "test.csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == {
+            "train.csv": "f83a8ac6d67b08f55ab735ab658124ff9182913db76a6fc5065ff35470d8a2b0",
+            "cal.csv": "2b4bb53339d7c379d2e9dd2a506fe60f41245bac748db66bd5d0141451c45428",
+            "test.csv": "6139237829ae213fd94295d5d767b34195a3432120770a51263d54eb6bd52c46",
+        }
 
     def test_model_artifact_parses(self, pipeline):
         with open(os.path.join(pipeline, "model.json")) as fh:
@@ -491,6 +507,51 @@ class TestByteOrderMark:
         marked_model = with_byte_order_mark(model, tmp_path)
         marked = self.calibrate(tmp_path, "marked", cal, "--model", marked_model)
         assert marked == self.calibrate(tmp_path, "plain", cal, "--model", model)
+
+
+class TestNotUtf8:
+    """A text input that is not UTF-8 exits 1 with a message naming the file."""
+
+    def fails(self, capsys, argv, path):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path!r} is not UTF-8" in err
+
+    def test_csv(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline, "train.csv"), "rb") as fh:
+            text = fh.read()
+        first_id = text.index(b"\n") + 1
+        bad = tmp_path / "train.csv"
+        bad.write_bytes(text[:first_id] + b"\xe9" + text[first_id:])
+        self.fails(capsys, ["fit", "--out-dir", str(tmp_path / "out"), "--data", str(bad)], str(bad))
+
+    def test_csv_past_its_first_chunk(self, tmp_path, capsys):
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--out-dir", out, "--n", "3000", "--seed", "7"]) == 0
+        with open(os.path.join(out, "train.csv"), "rb") as fh:
+            text = fh.read()
+        last_id = text.rindex(b"\ns") + 1
+        assert last_id > 64 * 1024
+        bad = tmp_path / "train.csv"
+        bad.write_bytes(text[:last_id] + b"\xe9" + text[last_id:])
+        self.fails(capsys, ["fit", "--out-dir", str(tmp_path / "out"), "--data", str(bad)], str(bad))
+
+    def test_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=3\nn=4\xe90\n")
+        argv = ["simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]
+        self.fails(capsys, argv, str(cfg))
+
+    def test_calibrator(self, pipeline, tmp_path, capsys):
+        with open(os.path.join(pipeline, "calibrator.json"), "rb") as fh:
+            text = fh.read()
+        bad = tmp_path / "calibrator.json"
+        bad.write_bytes(text.replace(b'"fuq"', b'"fu\xe9"', 1))
+        argv = ["evaluate", "--out-dir", str(tmp_path / "out"),
+                "--data", os.path.join(pipeline, "test.csv"),
+                "--model", os.path.join(pipeline, "model.json"),
+                "--calibrator", str(bad)]
+        self.fails(capsys, argv, str(bad))
 
 
 class TestSweepWithoutModel:

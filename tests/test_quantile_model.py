@@ -330,7 +330,7 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.group, b.group)
         np.testing.assert_array_equal(a.features, b.features)
 
-    @pytest.mark.parametrize("n", [1, 10, 11, 1_000_001])
+    @pytest.mark.parametrize("n", [1, 10, 11, 999_999, 1_000_000, 1_000_001])
     def test_ids_are_s_and_six_digits(self, n):
         spec = SyntheticSpec(
             n=n,
@@ -368,6 +368,36 @@ class TestGenerateSynthetic:
                 label_domain=(0.0, 10.0),
                 seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n", 100.0, "n must be an integer"),
+            ("n", True, "n must be an integer"),
+            ("n", "100", "n must be an integer"),
+            ("n", 0, "sample count must be positive"),
+            ("feature_dim", 2.0, "feature_dim must be an integer"),
+            ("feature_dim", -1, "feature_dim must be non-negative"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", False, "seed must be an integer"),
+            ("seed", -1, "seed must be non-negative"),
+        ],
+    )
+    def test_sizes_and_seed_must_be_integers_in_range(self, field, value, match):
+        kwargs = dict(n=10, group_probs=(1.0,), feature_dim=1, noise_scale_per_group=(1.0,),
+                      label_domain=(0.0, 10.0), seed=0)
+        with pytest.raises(ValidationError, match=match):
+            SyntheticSpec(**{**kwargs, field: value})
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        spec = SyntheticSpec(n=np.int64(12), group_probs=(1.0,), feature_dim=np.uint8(2),
+                             noise_scale_per_group=(1.0,), label_domain=(0.0, 10.0), seed=np.int32(3))
+        assert (type(spec.n), type(spec.feature_dim), type(spec.seed)) == (int, int, int)
+        plain = SyntheticSpec(n=12, group_probs=(1.0,), feature_dim=2,
+                              noise_scale_per_group=(1.0,), label_domain=(0.0, 10.0), seed=3)
+        a, b = generate_synthetic(spec), generate_synthetic(plain)
+        assert a.ids.tolist() == b.ids.tolist()
+        np.testing.assert_array_equal(a.y, b.y)
 
     def test_non_positive_noise_rejected(self):
         with pytest.raises(ValidationError, match="noise scales"):
