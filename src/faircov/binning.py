@@ -9,7 +9,8 @@ A label's bin is the number of interior cuts at or below it, so a label
 on a cut goes to the bin above the cut.
 
 Every sum over the bins, of a record's piece lengths or of a group's
-coverage rates, is :func:`_bin_sum`: the bins added one after another.
+coverage rates, is :func:`_bin_sum`: the bins added one after another,
+in numpy arrays or in Python floats.
 """
 
 from __future__ import annotations
@@ -127,13 +128,16 @@ def bin_indices(partition: BinPartition, labels) -> np.ndarray:
     return index.astype(np.int64)
 
 
-def _bin_sum(rows: np.ndarray) -> np.ndarray:
+def _bin_sum(rows):
     """The sum over axis 0: ``0.0 + rows[0]``, then each later row added in turn.
 
     The bins' one summation order. Numpy's own axis-0 sum is not one
     order: it adds the rows in turn, but a one-column table pairwise; the
     builtin ``sum`` compensates from Python 3.12 on. Starting from 0.0
-    makes a zero sum +0.0, whatever its terms' signs.
+    makes a zero sum +0.0, whatever its terms' signs. Given an array it
+    returns an array; given a list of Python floats, one per bin, the
+    same sum as a Python float, which costs less than numpy for a few
+    values.
     """
     total = 0.0 + rows[0]
     for row in rows[1:]:

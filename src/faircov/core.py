@@ -109,8 +109,9 @@ class Dataset:
         Stable record identifiers, one per row, held as one read-only
         numpy ``str`` array as wide as the longest id: 4 bytes per
         character of that id, for every row. An id must not contain NUL:
-        numpy drops it from the end of a string, so ids given as Python
-        strings are checked for it.
+        numpy drops it from the end of a string, so ids not given as a
+        numpy array are checked for it, each as ``str()`` writes it, which
+        is how they are converted: ``[1, 2]`` becomes ``['1', '2']``.
     y : ndarray
         Labels, finite, inside ``label_domain``.
     group : ndarray
@@ -135,9 +136,9 @@ class Dataset:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.ids, np.ndarray) and "\x00" in "".join(self.ids):
+        if not isinstance(self.ids, np.ndarray) and "\x00" in "".join(map(str, self.ids)):
             for row, raw in enumerate(self.ids):
-                _check_id(raw, row)
+                _check_id(str(raw), row)
         ids = _readonly(np.asarray(self.ids, dtype=str))
         y = _readonly(np.asarray(self.y, dtype=np.float64))
         group = _readonly(np.asarray(self.group, dtype=np.int64))

@@ -29,9 +29,10 @@ from the slope tables read off the counts, remain for the width cleanup.
 
 A group's mean is its bins' coverage rates added in bin order by
 :func:`~faircov.binning._bin_sum`, then divided by M: over the (M, S)
-rates of a coverage state or after a single move, and over a stream's
-(M, moves) rates in a run. The means decide tie breaks and go into the
-trace, so their last bit is part of the output.
+rates of a coverage state, over a stream's (M, moves) rates in a run,
+and in Python floats over one group's M rates after a single move and
+at a stream's start. The means decide tie breaks and go into the trace,
+so their last bit is part of the output.
 
 The :class:`OptimizerTrace` holds the moves as columns. Every move is
 written as a block of float64 trace rows, a run's from the arrays it
@@ -39,11 +40,17 @@ already holds and a single move's of one row, and the blocks are joined
 once, at the end. Its :class:`IterationRecord` view is built only when read.
 
 A :class:`CellScores` holds one conformity-score pass over a calibration
-set (scores, sorted cell scores, counts). A calibration makes three
-such passes: :func:`init_thresholds` seeds the global shift with
-``cqr_calibrate`` and measures the seed :class:`CoverageState`, and
-:func:`eoc_optimize` scores the set again when there are groups to
-trade. The oracle and ``cqr_calibrate_groupwise`` score once.
+set: the scores, their (M, S) cell counts, and one flat array of the
+scores gathered cell by cell in bin-major order, with each cell's slice
+sorted in place. ``cells[m][s]`` is a view of that slice, a cell's
+covered count is one compare of the flat array against each cell's
+threshold repeated over the cell, summed per cell with one
+``np.add.reduceat``, and the optimizer's seed-interleaved layout is one
+``np.insert`` into it. A calibration makes three such passes:
+:func:`init_thresholds` seeds the global shift with ``cqr_calibrate``
+and measures the seed :class:`CoverageState`, and :func:`eoc_optimize`
+scores the set again when there are groups to trade. The oracle and
+``cqr_calibrate_groupwise`` score once.
 """
 
 from __future__ import annotations
@@ -132,15 +139,18 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class CellScores:
-    """One conformity-score pass over a calibration set, split by cell.
+    """One conformity-score pass over a calibration set, laid out by cell.
 
-    ``cells[m][s]`` holds the sorted scores of (bin ``m``, group ``s``).
-    :meth:`measure` raises :class:`EmptyCellError` on the first empty
-    cell in bin-major order.
+    ``flat`` holds the scores gathered cell by cell in bin-major order,
+    each cell's slice sorted in place; cell ``c`` (bin ``c // S``, group
+    ``c % S``) is ``flat[starts[c] : starts[c] + counts.flat[c]]``, and
+    ``cells[m][s]`` is that slice as a view. :meth:`measure` raises
+    :class:`EmptyCellError` on the first empty cell in bin-major order.
     """
 
     scores: np.ndarray  # (n,)
-    cells: list[list[np.ndarray]]
+    flat: np.ndarray  # (n,)
+    starts: np.ndarray  # (M * S,) ints
     counts: np.ndarray  # (M, S) ints
     partition: BinPartition
 
@@ -158,14 +168,24 @@ class CellScores:
         # a stable sort keeps each cell's records in dataset order; numpy
         # radix-sorts 8- and 16-bit keys
         order = np.argsort(key.astype(np.min_scalar_type(m_bins * s_groups - 1)), kind="stable")
-        split = np.split(scores[order], np.cumsum(counts.ravel())[:-1])
-        cells = [[np.sort(split[m * s_groups + s]) for s in range(s_groups)] for m in range(m_bins)]
-        return cls(scores=scores, cells=cells, counts=counts, partition=partition)
+        flat = scores[order]
+        ends = np.cumsum(counts.ravel())
+        starts = ends - counts.ravel()
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            flat[a:b].sort()
+        return cls(scores=scores, flat=flat, starts=starts, counts=counts, partition=partition)
+
+    @cached_property
+    def cells(self) -> list[list[np.ndarray]]:
+        """``cells[m][s]``: the sorted scores of (bin ``m``, group ``s``), a view of ``flat``."""
+        views = [self.flat[a : a + c] for a, c in zip(self.starts.tolist(), self.counts.ravel().tolist())]
+        s_groups = self.counts.shape[1]
+        return [views[i : i + s_groups] for i in range(0, len(views), s_groups)]
 
     def covered(self, r_hat: np.ndarray) -> np.ndarray:
         """How many of each cell's scores are at or below its threshold, (M, S)."""
-        rows = zip(self.cells, r_hat)
-        return np.array([[_covered_count(c, r) for c, r in zip(*row)] for row in rows], dtype=np.int64)
+        hit = self.flat <= np.repeat(np.ravel(r_hat), self.counts.ravel())
+        return np.add.reduceat(hit, self.starts, dtype=np.int64).reshape(self.counts.shape)
 
     def coverage(self, r_hat: np.ndarray) -> "CoverageState":
         """Share of each cell's scores at or below its threshold."""
@@ -343,11 +363,9 @@ def _lay_out(cells: CellScores, seed: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``flat[first + k]``: the seed when it covers none, else its covering
     order statistic.
     """
-    sizes = cells.counts.ravel()
-    starts = np.cumsum(sizes) - sizes
-    scores = np.concatenate([*(c for row in cells.cells for c in row), [0.0]])
-    flat = np.insert(scores, starts, seed.ravel())
-    return flat, (starts + np.arange(sizes.size)).reshape(cells.counts.shape)
+    starts = cells.starts
+    flat = np.insert(cells.flat, np.append(starts, cells.flat.size), np.append(seed, 0.0))
+    return flat, (starts + np.arange(starts.size)).reshape(cells.counts.shape)
 
 
 class _MoveStream:
@@ -379,7 +397,7 @@ class _MoveStream:
     def __init__(self, flat, first, sizes, k, drop: bool):
         self.sizes = sizes
         self.k_end = k.copy()  # covered counts at state mu.size - 1
-        self.mu = _bin_sum((k / sizes)[:, None]) / sizes.size
+        self.mu = np.array([_bin_sum((k / sizes).tolist()) / sizes.size])
         size = sizes[:, None]
         if drop:
             # row m: the bin's covered scores from the top, then its
@@ -404,9 +422,10 @@ class _MoveStream:
             keys = np.maximum.accumulate(gaps, axis=1)
             moves = np.flatnonzero(real & (scores != below))
             move_bins, j = np.divmod(moves, scores.shape[1])
-            last = np.diff(move_bins, append=sizes.size) != 0  # a bin's last move
-            # where the bin's next move starts, or its tail's end
-            next_j = np.where(last, tails[move_bins], np.roll(j, -1))
+            # where the bin's next move starts, or its tail's end after its last
+            next_j = tails[move_bins]
+            inner = move_bins[:-1] == move_bins[1:]  # not the bin's last move
+            next_j[:-1][inner] = j[1:][inner]
             rank = np.argsort(keys.ravel()[moves], kind="stable")
             order, bins = moves[rank], move_bins[rank]
             self.deltas = (next_j - j)[rank]
@@ -486,8 +505,9 @@ def eoc_optimize(
     threshold and sorted scores lie end to end in one array ``flat``,
     cell (m, s) from ``first[m, s]`` on, so its threshold is
     ``flat[first + k]``, its slopes are ``flat``'s spacings per record on
-    either side of that entry, and the group means are
-    ``_bin_sum(k / counts) / M``. Ties go to the
+    either side of that entry, and a group's mean is its column of
+    ``k / counts`` added in bin order by ``_bin_sum`` in Python floats,
+    divided by M. Ties go to the
     first cell in bin-major order. After the loop converges, a width
     cleanup alternates two greedy passes until neither moves: a trim pass
     sheds covered records the floors do not need, widest spacing first,
@@ -496,7 +516,9 @@ def eoc_optimize(
     largest decrease slope strictly exceeds the smallest increase slope,
     stopping at that crossover. Cleanup feasibility is judged on post-move
     group means, so every group stays inside its parking window and the
-    covered count never falls below its floor.
+    covered count never falls below its floor. Both passes read nothing
+    but ``k``, so a pass that found no move is not checked again until
+    some move has been made.
 
     Every threshold sits on its cell's covering order statistic, so a
     drop covers exactly one sample fewer, and an add exactly one more
@@ -562,7 +584,7 @@ def eoc_optimize(
         return np.where(k < counts, spacing[first + k], np.inf)
 
     def means() -> list[float]:
-        return (_bin_sum(k / counts) / m_bins).tolist()
+        return [_bin_sum(rates) / m_bins for rates in (k / counts).T.tolist()]
 
     band = 1.0 / counts.min(axis=0)  # documented tolerance per group
     # Park each group in the one-sided window [target, target + stop],
@@ -699,48 +721,49 @@ def eoc_optimize(
         same_group = cell_group[:, None] == cell_group[None, :]
         ceiling = (level + stop + eps)[cell_group]
         # A cap that stops either pass while it still has a move to make
-        # ends the run as max_iters.
-        progress = True
-        while progress and reason == CONVERGED:
-            progress = False
+        # ends the run as max_iters. The passes read nothing but k, so a
+        # pass that found no move is checked again only after a move.
+        idle = [-1, -1]  # the move count at which trim, then descent, last found none
+        while reason == CONVERGED and min(idle) < steps:
+            if idle[0] < steps:
+                while k.sum() > k_floor:
+                    gain = np.where(np.array(mu) - quantum >= floor, drops(), -np.inf)
+                    m1, s1 = divmod(int(np.argmax(gain)), s_groups)
+                    if gain[m1, s1] <= 0.0:
+                        break  # a zero slope is a tie, which a drop cannot move
+                    if steps == max_iters:
+                        reason = MAX_ITERS
+                        break
+                    shift(m1, s1, -1)
+                    record(s1, -1, m1, -1, gain[m1, s1], math.nan)
+                idle[0] = steps
 
-            while k.sum() > k_floor:
-                gain = np.where(np.array(mu) - quantum >= floor, drops(), -np.inf)
-                m1, s1 = divmod(int(np.argmax(gain)), s_groups)
-                if gain[m1, s1] <= 0.0:
-                    break  # a zero slope is a tie, which a drop cannot move
-                if steps == max_iters:
-                    reason = MAX_ITERS
-                    break
-                shift(m1, s1, -1)
-                progress = True
-                record(s1, -1, m1, -1, gain[m1, s1], math.nan)
-
-            while reason == CONVERGED:
-                # rows: the donor cell, columns: the recipient cell
-                mu1 = (np.array(mu) - quantum).ravel()[:, None]
-                mu2 = (np.array(mu) + quantum).ravel()[None, :]
-                post = mu1 + quantum.ravel()[None, :]
-                ok = np.where(
-                    same_group,
-                    (floor <= post) & (post <= ceiling[:, None]),
-                    (mu1 >= floor) & (mu2 <= ceiling[None, :]),
-                )
-                dec, inc = drops(), adds()
-                gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
-                np.fill_diagonal(gain, -np.inf)
-                a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
-                if gain[a, b] <= 0.0:
-                    break
-                if steps == max_iters:
-                    reason = MAX_ITERS
-                    break
-                (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
-                d_slope, i_slope = dec[m1, s1], inc[m2, s2]
-                shift(m1, s1, -1)
-                shift(m2, s2, 1)
-                progress = True
-                record(s1, s2, m1, m2, d_slope, i_slope)
+            if idle[1] < steps:
+                while reason == CONVERGED:
+                    # rows: the donor cell, columns: the recipient cell
+                    mu1 = (np.array(mu) - quantum).ravel()[:, None]
+                    mu2 = (np.array(mu) + quantum).ravel()[None, :]
+                    post = mu1 + quantum.ravel()[None, :]
+                    ok = np.where(
+                        same_group,
+                        (floor <= post) & (post <= ceiling[:, None]),
+                        (mu1 >= floor) & (mu2 <= ceiling[None, :]),
+                    )
+                    dec, inc = drops(), adds()
+                    gain = np.where(ok, dec.ravel()[:, None] - inc.ravel()[None, :], -np.inf)
+                    np.fill_diagonal(gain, -np.inf)
+                    a, b = divmod(int(np.argmax(gain)), m_bins * s_groups)
+                    if gain[a, b] <= 0.0:
+                        break
+                    if steps == max_iters:
+                        reason = MAX_ITERS
+                        break
+                    (m1, s1), (m2, s2) = divmod(a, s_groups), divmod(b, s_groups)
+                    d_slope, i_slope = dec[m1, s1], inc[m2, s2]
+                    shift(m1, s1, -1)
+                    shift(m2, s2, 1)
+                    record(s1, s2, m1, m2, d_slope, i_slope)
+                idle[1] = steps
 
     table = ThresholdTable(
         r_hat=flat[first + k],

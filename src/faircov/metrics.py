@@ -201,48 +201,45 @@ def evaluate(test: Dataset, model: QuantileModel | None, calibrator, out=None) -
     bin_counts = np.bincount(cell, minlength=partition.m * s_groups).reshape(-1, s_groups)
     bin_hits = np.bincount(cell, weights=covered, minlength=bin_counts.size)  # exact: 0/1 sums
     bin_hits = bin_hits.reshape(-1, s_groups)
-    group_counts = bin_counts.sum(axis=0)
-    covered_per_group = bin_hits.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        picp_groups = np.where(
-            group_counts > 0, covered_per_group / np.maximum(group_counts, 1), np.nan
-        )
-        mpiw_groups = np.where(
-            group_counts > 0,
-            np.bincount(test.group, weights=width, minlength=s_groups)
-            / np.maximum(group_counts, 1),
-            np.nan,
-        )
-        bin_coverage = np.where(bin_counts > 0, bin_hits / np.maximum(bin_counts, 1), np.nan)
+    filled = bin_counts > 0
+    rates = bin_hits / np.maximum(bin_counts, 1)  # 0.0 in an empty cell
+    bin_coverage = np.where(filled, rates, np.nan)
     bin_coverage.setflags(write=False)
     bin_counts.setflags(write=False)
+    # The per-group figures are a few values each, so they are Python
+    # floats: the same divisions, and the same bin-order sums, as in numpy.
+    group_counts = bin_counts.sum(axis=0).tolist()
+    covered_per_group = [int(h) for h in bin_hits.sum(axis=0).tolist()]
+    widths = np.bincount(test.group, weights=width, minlength=s_groups).tolist()
+    picp_groups = [h / c if c else math.nan for h, c in zip(covered_per_group, group_counts)]
+    mpiw_groups = [w / c if c else math.nan for w, c in zip(widths, group_counts)]
     # the mean of each group's non-empty bins, added in bin order as the optimizer adds them
-    bin_sums = _bin_sum(np.where(bin_counts > 0, bin_coverage, 0.0))
-    nonempty = (bin_counts > 0).sum(axis=0)
+    bin_sums = [_bin_sum(column) for column in rates.T.tolist()]
     per_group_bin_mean = tuple(
-        np.where(group_counts > 0, bin_sums / np.maximum(nonempty, 1), np.nan).tolist()
+        total / nonempty if c else math.nan
+        for total, nonempty, c in zip(bin_sums, filled.sum(axis=0).tolist(), group_counts)
     )
-
-    present = picp_groups[~np.isnan(picp_groups)]
-    gap = float(present.max() - present.min()) if present.size >= 2 else 0.0
+    present = [p for p, c in zip(picp_groups, group_counts) if c]
+    gap = max(present) - min(present) if len(present) >= 2 else 0.0
+    covered_total = sum(covered_per_group)
 
     return EvalReport(
         alpha=float(calibrator.alpha),
         n_test=test.n,
-        group_counts=tuple(int(c) for c in group_counts),
-        covered_total=int(covered.sum()),
-        covered_per_group=tuple(int(c) for c in covered_per_group),
-        picp_overall=float(covered.mean()),
+        group_counts=tuple(group_counts),
+        covered_total=covered_total,
+        covered_per_group=tuple(covered_per_group),
+        picp_overall=covered_total / test.n,
         mpiw_overall=float(width.mean()),
-        picp_per_group=tuple(float(v) for v in picp_groups),
-        mpiw_per_group=tuple(float(v) for v in mpiw_groups),
+        picp_per_group=tuple(picp_groups),
+        mpiw_per_group=tuple(mpiw_groups),
         picp_gap=gap,
         bin_counts=bin_counts,
         bin_coverage=bin_coverage,
         per_group_bin_mean=per_group_bin_mean,
         mae=mae(test.y, point),
         rmse=rmse(test.y, point),
-        fallback_count=int((~has_piece).sum()),
+        fallback_count=test.n - int(np.count_nonzero(has_piece)),
         point_source=source,
     )
 

@@ -345,7 +345,11 @@ def signal_coefficients(spec: SyntheticSpec) -> tuple[np.ndarray, float]:
     the domain midpoint, so the signal fills the label range without heavy
     clipping at default noise scales.
     """
-    rng_signal, _ = _spawn_rngs(spec.seed)
+    return _signal(spec, _spawn_rngs(spec.seed)[0])
+
+
+def _signal(spec: SyntheticSpec, rng_signal: np.random.Generator) -> tuple[np.ndarray, float]:
+    """:func:`signal_coefficients`, drawn from the first child of the spec's seed."""
     lo, hi = spec.label_domain
     scale = (hi - lo) / 8.0
     if spec.feature_dim == 0:
@@ -366,8 +370,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     their own width. The ids' dtype is ``U7`` up to ``n = 10**6`` and
     ``U{1 + len(str(n - 1))}`` above it.
     """
-    w, intercept = signal_coefficients(spec)
-    _, rng = _spawn_rngs(spec.seed)
+    rng_signal, rng = _spawn_rngs(spec.seed)
+    w, intercept = _signal(spec, rng_signal)
     s = len(spec.group_probs)
     groups = rng.choice(s, size=spec.n, p=np.asarray(spec.group_probs))
     x = rng.standard_normal((spec.n, spec.feature_dim))

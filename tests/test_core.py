@@ -460,6 +460,16 @@ class TestIds:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Dataset(ids=("a", bad), y=[1.0, 2.0], group=[0, 0], label_domain=(0.0, 10.0), group_count=1)
 
+    def test_non_str_ids_load_as_their_str(self):
+        # numpy converts each id with str(), and the NUL check reads the same text
+        d = Dataset(ids=[1, 2, 3], y=[1.0, 2.0, 3.0], group=[0, 0, 0], label_domain=(0.0, 10.0), group_count=1)
+        assert d.ids.tolist() == ["1", "2", "3"]
+        mixed = Dataset(ids=(7, "b", 2.5), y=[1.0, 2.0, 3.0], group=[0, 0, 0], label_domain=(0.0, 10.0), group_count=1)
+        assert mixed.ids.tolist() == ["7", "b", "2.5"]
+        message = f"id {'a' + chr(0)!r} at row 2 contains a NUL character"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(ids=[1, 2, "a\x00"], y=[1.0, 2.0, 3.0], group=[0, 0, 0], label_domain=(0.0, 10.0), group_count=1)
+
     @pytest.mark.parametrize("block", [1, 2, 4096])
     def test_nul_rejected_by_load(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(core, "_READ_BLOCK", block)

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faircov import (
+    BinPartition,
     Dataset,
     EmptyCellError,
     QuantileModel,
@@ -190,6 +191,79 @@ class TestSingleScoringPass:
         _, stale = init_thresholds(data, None, equal_mass_bins(data.y, 3, data.label_domain), 0.1)
         with pytest.raises(ValidationError, match="state0"):
             eoc_optimize(data, None, table0, stale)
+
+
+@st.composite
+def scored_cells(draw):
+    """A calibration set, its partition and the scores a pass gives it.
+
+    Every (bin, group) cell holds one to six records, in shuffled order;
+    the scores repeat values, ±0.0 among them, so cells hold ties.
+    """
+    m_bins, s_groups = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=m_bins * s_groups, max_size=m_bins * s_groups))
+    cell = np.repeat(np.arange(m_bins * s_groups), sizes)
+    order = np.array(draw(st.permutations(range(cell.size))), dtype=np.int64)
+    cell = cell[order]
+    value = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.5]), st.floats(-5.0, 5.0, width=16))
+    scores = np.array(draw(st.lists(value, min_size=cell.size, max_size=cell.size)), dtype=np.float64)
+    data = make_dataset(cell // s_groups + 0.5, cell % s_groups, q_lo=np.zeros(cell.size),
+                        q_hi=np.zeros(cell.size), domain=(0.0, float(m_bins)), group_count=s_groups)
+    partition = BinPartition(bounds=tuple(float(b) for b in range(m_bins + 1)), counts=(1,) * m_bins)
+    return data, partition, scores
+
+
+def measured(data, partition, scores):
+    """``CellScores.measure`` of ``data`` with the pass's scores set to ``scores``."""
+    from faircov import fair_calibration
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fair_calibration, "conformity_scores", lambda *args: scores.copy())
+        return CellScores.measure(data, None, partition, 0.1)
+
+
+def reference_cells(data, partition, scores):
+    """Each cell's scores picked out in dataset order and sorted on their own."""
+    bins = np.floor(data.y).astype(int)
+    return [
+        [np.sort(scores[(bins == m) & (data.group == s)]) for s in range(data.group_count)]
+        for m in range(partition.m)
+    ]
+
+
+class TestCellScoresLayout:
+    @given(scored_cells())
+    def test_flat_cells_match_a_per_cell_split(self, case):
+        cells = measured(*case)
+        want = reference_cells(*case)
+        assert cells.flat.tobytes() == np.concatenate([c for row in want for c in row]).tobytes()
+        for m, row in enumerate(want):
+            for s, cell in enumerate(row):
+                got = cells.cells[m][s]
+                assert got.tobytes() == cell.tobytes()
+                assert got.base is cells.flat
+                assert cells.counts[m, s] == cell.size
+        assert cells.scores.tobytes() == case[2].tobytes()
+
+    @given(scored_cells(), st.data())
+    def test_covered_matches_per_cell_searchsorted(self, case, data):
+        # thresholds on the scores themselves, ±0.0 and ties included, and between them
+        cells = measured(*case)
+        want = reference_cells(*case)
+        values = sorted(set(case[2].tolist())) + [-0.0, 0.0, -10.0, 10.0, 0.75]
+        r_hat = np.array(
+            [[data.draw(st.sampled_from(values)) for _ in row] for row in want], dtype=np.float64
+        )
+        expected = [[np.searchsorted(c, r, side="right") for c, r in zip(row, r_row)] for row, r_row in zip(want, r_hat)]
+        got = cells.covered(r_hat)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_empty_cell_still_raises(self):
+        data = make_dataset([0.5, 0.5, 1.5], [0, 1, 0], q_lo=[0.0] * 3, q_hi=[0.0] * 3, domain=(0.0, 2.0))
+        partition = BinPartition(bounds=(0.0, 1.0, 2.0), counts=(1, 1))
+        with pytest.raises(EmptyCellError):
+            CellScores.measure(data, None, partition, 0.1)
 
 
 class TestSlopes:
@@ -697,6 +771,27 @@ class TestOptimizerMatchesReference:
             reasons.add(trace.termination_reason)
         assert kinds == {"exchange", "lone_drop", "lone_add", "trim", "descent"}
         assert reasons == {CONVERGED, SLOPE_CROSSOVER}
+
+    def test_cleanup_checks_a_pass_again_only_after_a_move(self):
+        # The cleanup checks a pass again only when a move happened since it
+        # last found none. A cleanup that ends on a trim skips a whole round
+        # (seeds 1 and 22); one that ends on a descent skips the descent
+        # after the trim that follows it finds nothing (seeds 7 and 50); at
+        # seed 50 a trim moves again after descents. Every cap inside the
+        # cleanup, and one past its end, ends where the reference does.
+        endings = {}
+        for seed in (1, 22, 7, 50):
+            s_groups, m_bins = 2 + seed % 4, 1 + seed % 8
+            data = calibration_set(seed, s_groups, 60 + 4 * seed, ties=seed % 3 == 0)
+            alpha = (0.05, 0.1, 0.2, 0.3)[seed % 4]
+            trace, kinds = self.assert_same(data, m_bins, alpha)
+            assert trace.termination_reason == CONVERGED
+            cleanup = [i for i, kind in enumerate(kinds) if kind in ("trim", "descent")]
+            endings[seed] = "".join(kinds[i][0] for i in cleanup)
+            for cap in range(cleanup[0], len(kinds) + 2):
+                capped, _ = self.assert_same(data, m_bins, alpha, max_iters=cap)
+                assert capped.termination_reason == (MAX_ITERS if cap < len(kinds) else CONVERGED)
+        assert endings == {1: "t", 22: "t", 7: "ttdd", 50: "tddddtd"}
 
     def test_iteration_caps(self):
         data = calibration_set(7, 5, 300)

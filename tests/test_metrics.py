@@ -13,6 +13,9 @@ from faircov import (
     GlobalThreshold,
     ThresholdTable,
     ValidationError,
+    bin_indices,
+    cqr_calibrate,
+    cqr_calibrate_groupwise,
     equal_mass_bins,
     evaluate,
     fair_calibrate,
@@ -21,7 +24,8 @@ from faircov import (
     predict_interval,
     report_to_json,
 )
-from faircov.metrics import comparison_header, comparison_row, mae, rmse
+from faircov.intervals import band_pieces, union_covered, union_widths
+from faircov.metrics import _resolve_band, comparison_header, comparison_row, mae, rmse
 
 from conftest import make_dataset, six_record_fixture, synthetic_with_band  # noqa: F401
 
@@ -296,3 +300,130 @@ class TestComparisonTable:
         assert row[3] == "0.666667"
         assert row[-1] == "1"
         assert len(row) == len(comparison_header(2))
+
+
+def reference_figures(test, calibrator) -> dict:
+    """Every report field as the report's numpy formulas computed them,
+    over kernel calls that take the whole test set at once."""
+    q_lo, q_hi, partition, r_hat, point, fallback, source = _resolve_band(test, None, calibrator)
+    bounds = np.asarray(partition.bounds)
+    bins = bin_indices(partition, test.y)
+    a, b = band_pieces(q_lo, q_hi, test.group, r_hat, bounds)
+    width, has_piece = union_widths(a, b)
+    covered = union_covered(q_lo, q_hi, test.group, r_hat, bounds, bins, test.y, has_piece, fallback)
+    s_groups = test.group_count
+    cell = bins * s_groups + test.group
+    bin_counts = np.bincount(cell, minlength=partition.m * s_groups).reshape(-1, s_groups)
+    bin_hits = np.bincount(cell, weights=covered, minlength=bin_counts.size).reshape(-1, s_groups)
+    group_counts = bin_counts.sum(axis=0)
+    covered_per_group = bin_hits.sum(axis=0)
+    picp_groups = np.where(group_counts > 0, covered_per_group / np.maximum(group_counts, 1), np.nan)
+    mpiw_groups = np.where(
+        group_counts > 0,
+        np.bincount(test.group, weights=width, minlength=s_groups) / np.maximum(group_counts, 1),
+        np.nan,
+    )
+    bin_coverage = np.where(bin_counts > 0, bin_hits / np.maximum(bin_counts, 1), np.nan)
+    rates = np.where(bin_counts > 0, bin_coverage, 0.0)
+    bin_sums = 0.0 + rates[0]
+    for row in rates[1:]:
+        bin_sums += row
+    nonempty = (bin_counts > 0).sum(axis=0)
+    present = picp_groups[~np.isnan(picp_groups)]
+    return {
+        "alpha": float(calibrator.alpha),
+        "n_test": test.n,
+        "group_counts": tuple(int(c) for c in group_counts),
+        "covered_total": int(covered.sum()),
+        "covered_per_group": tuple(int(c) for c in covered_per_group),
+        "picp_overall": float(covered.mean()),
+        "mpiw_overall": float(width.mean()),
+        "picp_per_group": tuple(float(v) for v in picp_groups),
+        "mpiw_per_group": tuple(float(v) for v in mpiw_groups),
+        "picp_gap": float(present.max() - present.min()) if present.size >= 2 else 0.0,
+        "bin_counts": bin_counts,
+        "bin_coverage": bin_coverage,
+        "per_group_bin_mean": tuple(
+            np.where(group_counts > 0, bin_sums / np.maximum(nonempty, 1), np.nan).tolist()
+        ),
+        "mae": float(np.mean(np.abs(test.y - point))),
+        "rmse": float(np.sqrt(np.mean((test.y - point) ** 2))),
+        "fallback_count": int((~has_piece).sum()),
+        "point_source": source,
+    }
+
+
+def bits(value):
+    """A field as comparable text: every float by ``float.hex``, so -0.0
+    differs from 0.0 and any NaN equals any NaN; the Python type too."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, [bits(v) for v in value.ravel().tolist()]
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def assert_report_matches_reference(test, calibrator):
+    report = evaluate(test, None, calibrator)
+    want = reference_figures(test, calibrator)
+    assert set(vars(report)) == set(want)
+    for name, value in vars(report).items():
+        assert bits(value) == bits(want[name]), name
+
+
+@st.composite
+def sparse_test_sets(draw):
+    """Test sets that leave bins empty and groups absent, with a table
+    or a global shift to score them under."""
+    m_bins, s_groups = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    present = draw(st.lists(st.integers(0, s_groups - 1), min_size=1, max_size=s_groups, unique=True))
+    bounds = (0.0, *sorted(draw(st.sets(st.integers(1, 19), min_size=m_bins - 1, max_size=m_bins - 1))), 20.0)
+    bounds = tuple(b / 2.0 for b in bounds)
+    label = st.one_of(st.sampled_from(bounds), st.floats(0.0, 10.0, width=16))
+    y = draw(st.lists(label, min_size=n, max_size=n))
+    group = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    centre = st.floats(-2.0, 12.0, width=16)
+    q = np.array(draw(st.lists(st.tuples(centre, st.floats(0.0, 4.0, width=16)), min_size=n, max_size=n)))
+    test = make_dataset(y, group, q_lo=q[:, 0] - q[:, 1], q_hi=q[:, 0] + q[:, 1], group_count=s_groups)
+    shift = st.floats(-3.0, 3.0, width=16)
+    if draw(st.booleans()):
+        return test, GlobalThreshold(method="cqr", alpha=0.1, r_hat=draw(shift), n_cal=10)
+    r_hat = np.array(draw(st.lists(shift, min_size=m_bins * s_groups, max_size=m_bins * s_groups)))
+    partition = BinPartition(bounds=bounds, counts=(1,) * m_bins)
+    return test, ThresholdTable(
+        r_hat=r_hat.reshape(m_bins, s_groups), global_r_hat=0.0, alpha=0.2, partition=partition,
+        group_count=s_groups,
+    )
+
+
+class TestReportMatchesNumpyFormulas:
+    """The per-group figures are Python floats, bit for bit the numpy formulas' values."""
+
+    @given(sparse_test_sets())
+    def test_sparse_test_sets(self, case):
+        assert_report_matches_reference(*case)
+
+    def test_absent_groups_and_empty_bins_are_reached(self):
+        # a group with no records and a bin with none, side by side
+        test = make_dataset([1.0, 1.5, 9.0], [0, 2, 0], q_lo=[0.5, 1.0, 8.0], q_hi=[2.0, 2.0, 9.5], group_count=3)
+        table = ThresholdTable(
+            r_hat=np.zeros((3, 3)), global_r_hat=0.0, alpha=0.1,
+            partition=BinPartition(bounds=(0.0, 2.0, 5.0, 10.0), counts=(1, 1, 1)), group_count=3,
+        )
+        report = evaluate(test, None, table)
+        assert report.group_counts == (2, 0, 1)
+        assert report.bin_counts[1].tolist() == [0, 0, 0]
+        assert math.isnan(report.picp_per_group[1]) and math.isnan(report.per_group_bin_mean[1])
+        assert_report_matches_reference(test, table)
+
+    def test_calibrated_tables_at_benchmark_size(self):
+        for m_bins, seed in ((4, 1), (8, 2)):
+            data, _ = synthetic_with_band(6000, (1.0, 3.0, 5.0), seed=seed)
+            cal, test = data.subset(np.arange(3000)), data.subset(np.arange(3000, 6000))
+            for calibrator in (
+                fair_calibrate(cal, None, m_bins, 0.1)[0],
+                cqr_calibrate_groupwise(cal, None, 0.1),
+                cqr_calibrate(cal, None, 0.1),
+            ):
+                assert_report_matches_reference(test, calibrator)

@@ -16,6 +16,7 @@ from faircov import (
     pinball_loss,
 )
 from faircov import quantile_model
+from faircov.quantile_model import signal_coefficients
 
 from conftest import make_dataset
 
@@ -302,8 +303,6 @@ class TestGenerateSynthetic:
         )
 
     def residuals(self, data, spec):
-        from faircov.quantile_model import signal_coefficients
-
         w, b = signal_coefficients(spec)
         return data.y - (b + data.features @ w)
 
@@ -321,6 +320,42 @@ class TestGenerateSynthetic:
         r = self.residuals(data, spec)
         ratio = r[data.group == 1].std() / r[data.group == 0].std()
         assert 1.8 <= ratio <= 2.2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n=500, group_probs=(0.5, 0.5), feature_dim=3, noise_scale_per_group=(1.0, 2.0),
+                          label_domain=(0.0, 63.0), seed=0),
+            SyntheticSpec(n=6000, group_probs=(0.2, 0.3, 0.5), feature_dim=3, noise_scale_per_group=(1.0, 3.0, 5.0),
+                          label_domain=(0.0, 63.0), seed=2**32 + 5),
+            SyntheticSpec(n=37, group_probs=(1.0,), feature_dim=0, noise_scale_per_group=(0.5,),
+                          label_domain=(-1.0, 1.0), seed=7),
+            SyntheticSpec(n=1, group_probs=(0.25,) * 4, feature_dim=5, noise_scale_per_group=(1.0, 2.0, 3.0, 4.0),
+                          label_domain=(0.0, 10.0), seed=123456789),
+        ],
+    )
+    def test_one_seed_spawn_draws_as_two_did(self, spec):
+        # the records as drawn with the seed spawned once for the signal
+        # and again for the data: the signal from the first child, the data
+        # from the second
+        def rng(child):
+            return np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[child])
+
+        w, intercept = signal_coefficients(spec)
+        data_rng = rng(1)
+        groups = data_rng.choice(len(spec.group_probs), size=spec.n, p=np.asarray(spec.group_probs))
+        x = data_rng.standard_normal((spec.n, spec.feature_dim))
+        eps = data_rng.standard_normal(spec.n) * np.asarray(spec.noise_scale_per_group)[groups]
+        y = np.clip(intercept + x @ w + eps, *spec.label_domain)
+        if spec.feature_dim:
+            raw = rng(0).standard_normal(spec.feature_dim)
+            scale = (spec.label_domain[1] - spec.label_domain[0]) / 8.0
+            assert w.tobytes() == (raw * (scale / float(np.linalg.norm(raw)))).tobytes()
+        data = generate_synthetic(spec)
+        assert data.ids.tolist() == [f"s{i:06d}" for i in range(spec.n)]
+        assert data.y.tobytes() == y.tobytes()
+        assert data.group.tobytes() == groups.astype(np.int64).tobytes()
+        assert data.features.tobytes() == x.tobytes()
 
     def test_bit_identical_reruns(self):
         spec = self.spec((1.0, 2.0), n=500)
