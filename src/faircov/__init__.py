@@ -31,7 +31,6 @@ from .fair_calibration import (
     OptimizerTrace,
     ThresholdTable,
     brute_force_oracle,
-    calibration_objective,
     cqr_calibrate_groupwise,
     eoc_optimize,
     fair_calibrate,
@@ -46,7 +45,6 @@ from .quantile_model import (
     SyntheticSpec,
     fit,
     generate_synthetic,
-    pinball_grad,
     pinball_loss,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "ValidationError",
     "bin_indices",
     "brute_force_oracle",
-    "calibration_objective",
     "cqr_calibrate",
     "cqr_calibrate_groupwise",
     "cqr_score",
@@ -83,7 +80,6 @@ __all__ = [
     "load_dataset",
     "measure_coverage",
     "picp_gap",
-    "pinball_grad",
     "pinball_loss",
     "predict_interval",
     "report_to_json",

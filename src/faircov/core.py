@@ -33,13 +33,15 @@ class ValidationError(ValueError):
 
 
 class EmptyCellError(ValidationError):
-    """Raised when a (bin, group) calibration cell holds no records."""
+    """Raised when a (bin, group) calibration cell, or a whole group, holds no records."""
 
-    def __init__(self, bin_number: int, group: int):
+    def __init__(self, bin_number: int, group: int, group_empty: bool = False):
         self.bin_number = bin_number
         self.group = group
         super().__init__(
-            f"calibration cell (bin {bin_number}, group {group}) is empty; "
+            f"group {group} has no calibration records"
+            if group_empty
+            else f"calibration cell (bin {bin_number}, group {group}) is empty; "
             "reduce the bin count or supply more calibration data"
         )
 

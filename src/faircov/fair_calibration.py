@@ -46,11 +46,12 @@ sorted in place. ``cells[m][s]`` is a view of that slice, a cell's
 covered count is one compare of the flat array against each cell's
 threshold repeated over the cell, summed per cell with one
 ``np.add.reduceat``, and the optimizer's seed-interleaved layout is one
-``np.insert`` into it. A calibration makes three such passes:
+``np.insert`` into it. A calibration scores its set three times:
 :func:`init_thresholds` seeds the global shift with ``cqr_calibrate``
-and measures the seed :class:`CoverageState`, and :func:`eoc_optimize`
-scores the set again when there are groups to trade. The oracle and
-``cqr_calibrate_groupwise`` score once.
+and measures the seed :class:`CoverageState`, whose cells
+:func:`eoc_optimize` works on, scoring the set again only to check
+that the state is the set's. The oracle and ``cqr_calibrate_groupwise``
+score once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 from .binning import BinPartition, _bin_sum, bin_indices, equal_mass_bins
 from .conformal import band_columns, conformity_scores, cqr_calibrate, empirical_quantile
 from .core import Dataset, EmptyCellError, ValidationError
-from .intervals import band_pieces, union_widths
+from .intervals import band_pieces
 from .quantile_model import QuantileModel
 
 __all__ = [
@@ -82,7 +83,6 @@ __all__ = [
     "eoc_optimize",
     "fair_calibrate",
     "cqr_calibrate_groupwise",
-    "calibration_objective",
     "brute_force_oracle",
 ]
 
@@ -145,7 +145,8 @@ class CellScores:
     each cell's slice sorted in place; cell ``c`` (bin ``c // S``, group
     ``c % S``) is ``flat[starts[c] : starts[c] + counts.flat[c]]``, and
     ``cells[m][s]`` is that slice as a view. :meth:`measure` raises
-    :class:`EmptyCellError` on the first empty cell in bin-major order.
+    :class:`EmptyCellError` on the first group with no record, else on
+    the first empty cell in bin-major order.
     """
 
     scores: np.ndarray  # (n,)
@@ -164,6 +165,9 @@ class CellScores:
         counts = np.bincount(key, minlength=m_bins * s_groups).reshape(m_bins, s_groups)
         empty = np.argwhere(counts == 0)
         if empty.size:
+            missing = np.flatnonzero(counts.sum(axis=0) == 0)
+            if missing.size:
+                raise EmptyCellError(1, int(missing[0]), group_empty=True)
             raise EmptyCellError(int(empty[0, 0]) + 1, int(empty[0, 1]))
         # a stable sort keeps each cell's records in dataset order; numpy
         # radix-sorts 8- and 16-bit keys
@@ -550,11 +554,15 @@ def eoc_optimize(
     in a stream alike. The means decide tie breaks and go into the trace,
     so the summation order is part of the output.
 
-    A ``state0`` of another calibration set or partition raises
-    ValidationError. With a single group the input table is returned
-    unchanged.
+    ``state0.cells`` gives the cell counts, the seed's covered counts and
+    ``flat``. ``cal`` is scored only to check that ``state0`` holds its
+    scores on ``table0``'s partition, else ValidationError. With a single
+    group the input table is returned unchanged.
     """
-    if state0.cells.partition != table0.partition or int(state0.cell_counts.sum()) != cal.n:
+    cells = state0.cells
+    if cells.partition != table0.partition or not np.array_equal(
+        conformity_scores(cal, model, table0.alpha), cells.scores
+    ):
         raise ValidationError("state0 was measured on another calibration set or partition")
     if max_iters is None:
         max_iters = 10 * cal.n
@@ -566,11 +574,9 @@ def eoc_optimize(
     if s_groups == 1:
         return table0, _trace(init_means, np.empty((0, 6 + s_groups)), CONVERGED)
 
-    cell_scores = CellScores.measure(cal, model, table0.partition, table0.alpha)
-    counts = cell_scores.counts
-    k = cell_scores.covered(table0.r_hat)
-    flat, first = _lay_out(cell_scores, table0.r_hat)
-    del cell_scores  # its (n,) scores would outlive their use by the whole run
+    counts = cells.counts
+    k = cells.covered(table0.r_hat)
+    flat, first = _lay_out(cells, table0.r_hat)
     # width change per record of moving a threshold from flat[p] to flat[p + 1]
     spacing = np.diff(flat) / np.repeat(counts.ravel(), counts.ravel() + 1)
     groups = range(s_groups)
@@ -805,14 +811,6 @@ def cqr_calibrate_groupwise(
         partition=partition,
         group_count=cal.group_count,
     )
-
-
-def calibration_objective(cal: Dataset, model: QuantileModel | None, table: ThresholdTable) -> float:
-    """Mean total interval width over the calibration set."""
-    q_lo, q_hi, _ = band_columns(cal, model, table.alpha)
-    pieces = band_pieces(q_lo, q_hi, cal.group, table.r_hat, np.asarray(table.partition.bounds))
-    width, _ = union_widths(*pieces)
-    return float(width.mean())
 
 
 def brute_force_oracle(

@@ -27,7 +27,6 @@ __all__ = [
     "QuantileModel",
     "SyntheticSpec",
     "pinball_loss",
-    "pinball_grad",
     "fit",
     "generate_synthetic",
     "signal_coefficients",
@@ -49,20 +48,6 @@ def pinball_loss(y, y_hat, q: float):
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     out = np.where(y >= y_hat, q * (y - y_hat), (1.0 - q) * (y_hat - y))
-    return float(out) if out.ndim == 0 else out
-
-
-def pinball_grad(y, y_hat, q: float):
-    """Subgradient of the pinball loss with respect to the prediction.
-
-    Returns ``-q`` where ``y >= y_hat`` and ``1 - q`` elsewhere; at the kink
-    the left branch is used.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1), got {q}")
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    out = np.where(y >= y_hat, -q, 1.0 - q)
     return float(out) if out.ndim == 0 else out
 
 

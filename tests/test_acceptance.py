@@ -15,19 +15,21 @@ import numpy as np
 import pytest
 
 from faircov import (
+    QuantileLevels,
+    SyntheticSpec,
     brute_force_oracle,
-    calibration_objective,
     cqr_calibrate,
     cqr_calibrate_groupwise,
     equal_mass_bins,
     evaluate,
     fair_calibrate,
+    generate_synthetic,
     measure_coverage,
     picp_gap,
-    pinball_grad,
     pinball_loss,
     predict_interval,
 )
+from faircov import quantile_model
 from faircov.cli import main
 
 from conftest import make_dataset, synthetic_with_band
@@ -145,10 +147,8 @@ def test_criterion_4_oracle_equivalence():
             continue
         part = equal_mass_bins(cal.y, m, cal.label_domain)
         table, _ = fair_calibrate(cal, None, part, alpha)
-        obj = calibration_objective(cal, None, table)
-        opt = calibration_objective(
-            cal, None, brute_force_oracle(cal, None, part, alpha)
-        )
+        obj = evaluate(cal, None, table).mpiw_overall
+        opt = evaluate(cal, None, brute_force_oracle(cal, None, part, alpha)).mpiw_overall
         rel = (obj - opt) / opt if opt > 0 else 0.0
         worst = max(worst, abs(rel))
         state = measure_coverage(cal, None, table)
@@ -240,23 +240,37 @@ def test_criterion_6_identity_on_every_study_run(
     verdict(6, ok, f"weighted-mean identity max deviation {dev:.2e} across 300 reports")
 
 
-def test_criterion_7_gradient_check():
-    rng = np.random.default_rng(123)
-    n = 1000
-    y = rng.uniform(-50.0, 50.0, size=n)
-    offset = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.05, 5.0, size=n)
-    y_hat = y + offset  # never within 0.05 of the kink
-    q = rng.uniform(0.01, 0.99, size=n)
-    h = 1e-6
-    worst = 0.0
-    for i in range(n):
-        numeric = (
-            pinball_loss(y[i], y_hat[i] + h, q[i])
-            - pinball_loss(y[i], y_hat[i] - h, q[i])
-        ) / (2.0 * h)
-        worst = max(worst, abs(pinball_grad(y[i], y_hat[i], q[i]) - numeric))
-    ok = worst <= 1e-5
-    verdict(7, ok, f"max |analytic - central difference| {worst:.2e} at 1000 points")
+def test_criterion_7_duality_gap():
+    # each level as fit() solves it: standardized features, least-squares start
+    spec = SyntheticSpec(
+        n=4000,
+        group_probs=(0.25, 0.25, 0.25, 0.25),
+        feature_dim=3,
+        noise_scale_per_group=(1.0, 2.0, 3.0, 4.0),
+        label_domain=(0.0, 63.0),
+        seed=123,
+    )
+    train = generate_synthetic(spec)
+    y, x = train.y, train.features
+    design = np.vstack([np.ones(train.n), ((x - x.mean(axis=0)) / x.std(axis=0)).T])
+    start = np.linalg.lstsq(design @ design.T, design @ y, rcond=None)[0]
+    tol = quantile_model._GAP_TOL * (1.0 + float(np.abs(y).sum()))
+    in_box, residual, gaps = True, 0.0, []
+    for q in QuantileLevels.for_alpha(0.1).levels:
+        coef, a = quantile_model._frisch_newton(design, y, q, start, 400)
+        # the dual max y'a s.t. X'a = (1 - q) X'1, 0 <= a <= 1, and its gap to the loss
+        in_box = in_box and bool(a.min() > -1e-12 and a.max() < 1.0 + 1e-12)
+        lhs, rhs = design @ a, (1.0 - q) * design.sum(axis=1)
+        residual = max(residual, float((np.abs(lhs - rhs) / np.abs(design).sum(axis=1)).max()))
+        loss = float(pinball_loss(y, coef @ design, q).sum())
+        gaps.append(loss - (float(y @ a) - (1.0 - q) * float(y.sum())))
+    ok = in_box and residual <= 1e-9 and all(-1e-9 <= gap <= tol for gap in gaps)
+    verdict(
+        7,
+        ok,
+        f"dual within [0, 1] {in_box}, relative equality residual {residual:.1e} <= 1e-9, "
+        f"duality gaps {', '.join(f'{gap:.1e}' for gap in gaps)} <= {tol:.1e} at 3 levels",
+    )
 
 
 def test_criterion_8_cli_determinism(tmp_path):

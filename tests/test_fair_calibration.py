@@ -15,7 +15,6 @@ from faircov import (
     ThresholdTable,
     ValidationError,
     brute_force_oracle,
-    calibration_objective,
     cqr_calibrate,
     cqr_calibrate_groupwise,
     cqr_score,
@@ -184,6 +183,21 @@ class TestSingleScoringPass:
         _, stale = init_thresholds(other, None, part, 0.1)
         with pytest.raises(ValidationError, match="state0"):
             eoc_optimize(data, None, table0, stale)
+
+    @pytest.mark.parametrize("noise", [(1.0, 3.0), (2.0,)])
+    def test_state_from_another_set_of_the_same_size_rejected(self, noise):
+        # same size, same partition: only the scores tell the sets apart;
+        # one group is checked too, though its table comes back unchanged
+        cal, _ = synthetic_with_band(400, noise, seed=5)
+        other, _ = synthetic_with_band(400, noise, seed=6)
+        part = equal_mass_bins(cal.y, 4, cal.label_domain)
+        table0, state0 = init_thresholds(cal, None, part, 0.1)
+        _, foreign = init_thresholds(other, None, part, 0.1)
+        with pytest.raises(ValidationError, match="state0"):
+            eoc_optimize(cal, None, table0, foreign)
+        table, trace = eoc_optimize(cal, None, table0, state0)
+        assert trace.initial_per_group_mean == tuple(state0.per_group_mean.tolist())
+        assert (table is table0) == (len(noise) == 1)
 
     def test_state_from_another_partition_rejected(self):
         data, _ = synthetic_with_band(200, (1.0, 3.0), seed=5)
@@ -364,12 +378,12 @@ class TestEightRecordInstance:
         part = equal_mass_bins(data.y, 1, data.label_domain)
         oracle = brute_force_oracle(data, None, part, 0.5)
         np.testing.assert_array_equal(oracle.r_hat, [[2.0, 1.0]])
-        assert calibration_objective(data, None, oracle) == 2.875
+        assert evaluate(data, None, oracle).mpiw_overall == 2.875
 
     def test_objectives_match(self):
         data = self.data()
         table, _ = fair_calibrate(data, None, 1, 0.5)
-        assert calibration_objective(data, None, table) == 2.875
+        assert evaluate(data, None, table).mpiw_overall == 2.875
 
     def test_iteration_cap_reports_partial_table(self):
         table, trace = fair_calibrate(self.data(), None, 1, 0.5, max_iters=1)
@@ -421,9 +435,9 @@ class TestGroupwiseBaseline:
 
     def test_missing_group_rejected(self):
         data = make_dataset([1.0, 2.0], [0, 0], q_lo=[1.0, 2.0], q_hi=[1.0, 2.0], group_count=2)
-        with pytest.raises(EmptyCellError) as exc:
+        with pytest.raises(EmptyCellError, match="^group 1 has no calibration records$") as exc:
             cqr_calibrate_groupwise(data, None, 0.5)
-        assert exc.value.group == 1
+        assert (exc.value.bin_number, exc.value.group) == (1, 1)
 
 
 def out_of_sample_bin_means(calibrate):
@@ -472,10 +486,23 @@ class TestEmptyCells:
             q_lo=[1.0, 2.0, 3.0, 4.0],
             q_hi=[1.0, 2.0, 3.0, 4.0],
         )
-        with pytest.raises(EmptyCellError) as exc:
+        with pytest.raises(EmptyCellError, match="reduce the bin count") as exc:
             fair_calibrate(data, None, 2, 0.5)
         assert exc.value.bin_number == 1
         assert exc.value.group == 1
+
+    def test_group_without_records_named(self):
+        # fewer bins cannot fill a group that has no record at all
+        data = make_dataset(
+            [1.0, 2.0, 3.0, 4.0],
+            [0, 0, 0, 0],
+            q_lo=[1.0, 2.0, 3.0, 4.0],
+            q_hi=[1.0, 2.0, 3.0, 4.0],
+            group_count=2,
+        )
+        with pytest.raises(EmptyCellError, match="^group 1 has no calibration records$") as exc:
+            fair_calibrate(data, None, 2, 0.5)
+        assert (exc.value.bin_number, exc.value.group) == (1, 1)
 
 
 class TestOraclePreconditions:
@@ -510,8 +537,8 @@ class TestOptimizerAgainstOracle:
             except ValidationError:
                 continue
             table, trace = fair_calibrate(data, None, m, alpha)
-            eoc_obj = calibration_objective(data, None, table)
-            oracle_obj = calibration_objective(data, None, oracle)
+            eoc_obj = evaluate(data, None, table).mpiw_overall
+            oracle_obj = evaluate(data, None, oracle).mpiw_overall
             assert oracle_obj <= eoc_obj + 1e-9
             state = measure_coverage(data, None, table)
             assert np.all(state.per_group_mean >= (1.0 - alpha) - 1e-9)
@@ -916,7 +943,7 @@ class TestOptimizerMatchesReference:
         assert trace.donor_group.tolist() == [0, 2]
         table, _ = eoc_optimize(data, None, table0, state0)
         # a single drop from group 0 alone leaves 2.5503
-        assert calibration_objective(data, None, table) == pytest.approx(2.2595, abs=1e-4)
+        assert evaluate(data, None, table).mpiw_overall == pytest.approx(2.2595, abs=1e-4)
         state = measure_coverage(data, None, table)
         assert np.all(state.per_group_mean >= 0.9 - 1e-12)
         assert state.cells.covered(table.r_hat).sum() == 35  # floor: 34
